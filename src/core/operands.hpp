@@ -84,7 +84,7 @@ struct DenseOperand {
 /// Immutable shared handles over prepared operands. Preparation (quantize →
 /// SR-BCRS encode → shuffle → plane decomposition) is the expensive step the
 /// serving engine amortizes: once built, an operand is never mutated, so the
-/// operand cache and the batch scheduler alias one prepared copy across
+/// operand cache and the device pool alias one prepared copy across
 /// concurrent kernel executions safely.
 using SparseOperandHandle = std::shared_ptr<const SparseOperand>;
 using DenseOperandHandle = std::shared_ptr<const DenseOperand>;

@@ -20,13 +20,63 @@
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
 #include "serve/graph.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 #include "serve/shard.hpp"
 #include "serve/submit_queue.hpp"
 #include "simt/cost_model.hpp"
 
 namespace magicube::serve {
+
+Response serve_request(const Request& req, OperandCache& cache) {
+  return serve_request(req, cache, cache, simt::a100());
+}
+
+Response serve_request(const Request& req, OperandCache& operands,
+                       OperandCache& plans, const simt::DeviceSpec& device) {
+  // A fused attention graph executes whole against an engine-owned arena;
+  // the wrapper's operand slots are intentionally null.
+  if (req.graph) return serve_graph_request(*req.graph, operands, plans,
+                                            device);
+  MAGICUBE_CHECK_MSG(req.pattern && req.lhs_values && req.rhs_values,
+                     "serve request is missing pattern or operand values");
+  Response resp;
+  resp.op = req.op;
+  if (req.op == OpKind::spmm) {
+    core::SpmmConfig cfg;
+    cfg.precision = req.precision;
+    cfg.variant = req.variant;
+    cfg.bsn = req.bsn;
+    const auto lhs = operands.get_or_prepare_spmm_lhs(
+        req.pattern, *req.lhs_values, req.precision,
+        core::needs_shuffle(cfg), req.lhs_id, &resp.lhs_cache_hit);
+    const auto rhs = operands.get_or_prepare_dense(
+        OperandKind::spmm_rhs, *req.rhs_values, req.precision, req.rhs_id,
+        &resp.rhs_cache_hit);
+    // Plans are keyed by the pattern (structure), never the weight version:
+    // distinct weights over one pattern replay one plan.
+    const auto plan = plans.get_or_build_spmm_plan(
+        req.pattern, lhs, req.rhs_values->cols(), cfg, /*pattern_content=*/0,
+        &resp.plan_cache_hit);
+    resp.spmm = core::spmm(lhs, rhs, cfg, plan);
+    resp.modeled_seconds = simt::estimate_seconds(device, resp.spmm->run);
+  } else {
+    core::SddmmConfig cfg;
+    cfg.precision = req.precision;
+    cfg.prefetch = req.sddmm_prefetch;
+    const auto a = operands.get_or_prepare_dense(
+        OperandKind::sddmm_lhs, *req.lhs_values, req.precision, req.lhs_id,
+        &resp.lhs_cache_hit);
+    const auto b = operands.get_or_prepare_dense(
+        OperandKind::sddmm_rhs, *req.rhs_values, req.precision, req.rhs_id,
+        &resp.rhs_cache_hit);
+    const auto plan = plans.get_or_build_sddmm_plan(
+        req.pattern, req.lhs_values->cols(), cfg, /*pattern_content=*/0,
+        &resp.plan_cache_hit);
+    resp.sddmm = core::sddmm(a, b, *req.pattern, cfg, plan);
+    resp.modeled_seconds = simt::estimate_seconds(device, resp.sddmm->run);
+  }
+  return resp;
+}
 
 namespace {
 
@@ -61,11 +111,11 @@ std::uint64_t affinity_key(const Request& req, std::uint64_t pattern_fp) {
 
 }  // namespace
 
-// The submit/backpressure/shutdown half lives in detail::SubmitQueueCore
-// (shared with BatchScheduler); this Impl is the placement half: pricing,
-// device choice, sharding, fault injection, retry and tracing. Its mutex
-// guards the fleet state (stats, specs, active flags, caches, fault
-// counters) and is never held across a core call or a kernel execution.
+// The submit/backpressure/shutdown half lives in detail::SubmitQueueCore;
+// this Impl is the placement half: pricing, device choice, sharding, fault
+// injection, retry and tracing. Its mutex guards the fleet state (stats,
+// specs, active flags, caches, fault counters) and is never held across a
+// core call or a kernel execution.
 struct DevicePool::Impl {
   DevicePool* owner = nullptr;
   detail::SubmitQueueCore core;
@@ -806,6 +856,13 @@ struct DevicePool::Impl {
              std::size_t batch_size) {
     const Request& req = p.req;
     const DevicePoolConfig& cfg = owner->cfg_;
+    // Every deadline check below reads `deadline <= 0` as "no deadline", so
+    // a negative or NaN budget would silently lose its SLA: reject it on
+    // this request's own future instead.
+    MAGICUBE_CHECK_MSG(std::isfinite(req.deadline_seconds) &&
+                           req.deadline_seconds >= 0.0,
+                       "Request::deadline_seconds must be finite and >= 0 "
+                       "(0 = no deadline), got " << req.deadline_seconds);
 
     // Price the request on its cached plan when one is resident (O(1));
     // otherwise fall back to the analytic estimator — identical numbers by
@@ -817,8 +874,7 @@ struct DevicePool::Impl {
     // and execution is not masked). Per-device pricing happens at device
     // choice; the shard decision uses the reference spec so thresholds
     // keep one meaning across fleet compositions. The pricing body is
-    // serve/sla.hpp's price_request — the same path the BatchScheduler's
-    // modeled batch sizing uses.
+    // serve/sla.hpp's price_request.
     const simt::KernelRun run = price_request(req, owner->plan_cache_);
     const std::uint64_t pattern_fp =
         owner->plan_cache_.pattern_identity(req.pattern);
@@ -1695,8 +1751,6 @@ DevicePool::DevicePool(DevicePoolConfig cfg)
   }
   impl_->stats.devices.resize(n);
   detail::SubmitQueueCore::Tuning tuning;
-  tuning.label = "DevicePool";
-  tuning.engine_id = "device_pool";
   tuning.linger = cfg_.linger;
   tuning.max_queue_depth = cfg_.max_queue_depth;
   tuning.collect_traces = cfg_.collect_traces;

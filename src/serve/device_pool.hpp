@@ -3,13 +3,13 @@
 // simulated devices, with cost-model-driven placement, fault recovery and
 // per-request tracing.
 //
-// A DevicePool runs the BatchScheduler's submit/future contract (the shared
-// detail::SubmitQueueCore front half) over a fleet of simulated DeviceSpec
-// workers. Each worker owns a modeled clock (the cost model's accumulated
-// busy seconds — the device analogue of queue depth) and its own
-// OperandCache byte budget; a shared plan cache holds the pattern-only
-// execution plans every device replays (plans are value- and device-free,
-// so one build serves the whole fleet).
+// A DevicePool runs a submit/future front half (detail::SubmitQueueCore:
+// bounded queue, linger coalescing, backpressure, drain and shutdown) over
+// a fleet of simulated DeviceSpec workers. Each worker owns a modeled
+// clock (the cost model's accumulated busy seconds — the device analogue
+// of queue depth) and its own OperandCache byte budget; a shared plan
+// cache holds the pattern-only execution plans every device replays
+// (plans are value- and device-free, so one build serves the whole fleet).
 //
 // Heterogeneity & elasticity: the fleet may mix specs (an A100-class part
 // beside simt::edge()-class parts) — placement prices every request *per
@@ -132,8 +132,8 @@ struct DevicePoolConfig {
   /// active sm_count (one block per SM). Tests lower it to shard tiny
   /// problems.
   std::size_t wave_floor_blocks = 0;
-  /// How long the dispatcher lingers for a forming batch (see
-  /// BatchSchedulerConfig::linger).
+  /// How long the dispatcher waits for a forming dispatch round to grow
+  /// before placing what it has. Zero dispatches immediately.
   std::chrono::microseconds linger{200};
   /// Bounded submit queue; submit() blocks at the bound (0 = unbounded).
   std::size_t max_queue_depth = 0;
@@ -290,10 +290,11 @@ class DevicePool {
   /// Drains: every submitted request completes before destruction returns.
   ~DevicePool();
 
-  /// Enqueues a request; same contract as BatchScheduler::submit (the
-  /// future carries the Response or the failure, blocks at
-  /// max_queue_depth, throws after shutdown began). Response.device /
-  /// Response.shards / Response.retries report the placement.
+  /// Enqueues a request. The future carries the Response or the exception
+  /// the request failed with; submit() blocks while the queue sits at
+  /// max_queue_depth (backpressure) and throws Error after shutdown began.
+  /// Response.device / Response.shards / Response.retries report the
+  /// placement.
   std::future<Response> submit(Request req);
 
   /// Blocks until every request submitted so far has completed.
@@ -375,5 +376,19 @@ class DevicePool {
   OperandCache plan_cache_;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Executes one request synchronously against `cache` (cache-only serving
+/// without queueing or placement; the sequential reference the soaks
+/// compare against). Throws on malformed requests. Costs the run on
+/// simt::a100().
+Response serve_request(const Request& req, OperandCache& cache);
+
+/// Split-cache variant, the pool's per-request body: operands are prepared
+/// in `operands` (a device's own cache budget) while execution plans live
+/// in `plans` (shared across devices — plans are pattern-only, so every
+/// device replays one build), and modeled_seconds is priced on `device`.
+/// serve_request(req, cache) == serve_request(req, cache, cache, a100()).
+Response serve_request(const Request& req, OperandCache& operands,
+                       OperandCache& plans, const simt::DeviceSpec& device);
 
 }  // namespace magicube::serve

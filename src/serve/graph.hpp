@@ -5,8 +5,8 @@
 //
 //     SDDMM (sampled QK^T)  ->  sparse softmax + x-bit quantize  ->  SpMM
 //
-// — and is submitted to the serving engines as ONE request. The engines
-// price it with the merged multi-resource roofline of all three stages
+// — and is submitted to the serving engine as ONE request. The pool
+// prices it with the merged multi-resource roofline of all three stages
 // (max-of-sums across resources: the modeled fusion win over pricing each
 // stage's own max), place it whole (stages share one arena, so the DAG is
 // never row-sharded), and execute it against an engine-owned
@@ -19,7 +19,7 @@
 // GraphRequests ride the existing Request currency via make_graph_request:
 // the wrapper carries the mask as `pattern` so placement identity (plan
 // affinity, pattern fingerprints) and EDF/deadline machinery work
-// unchanged, and the engines branch on Request::graph before touching the
+// unchanged, and the pool branches on Request::graph before touching the
 // per-kernel operand slots.
 
 #include <cstdint>
@@ -56,7 +56,7 @@ struct GraphRequest {
 
 /// One executed stage of a graph response: its analytic kernel run, the
 /// modeled duration on the serving device, and its cache interaction. The
-/// engines lay these out as per-stage trace spans under the request trace.
+/// pool lays these out as per-stage trace spans under the request trace.
 struct GraphStage {
   std::string name;     // "sddmm", "softmax_quantize", "spmm"
   simt::KernelRun run;  // merged analytic run of the stage's kernels
@@ -75,11 +75,11 @@ struct GraphResult {
   std::vector<GraphStage> stages;
 };
 
-/// Wraps a graph into the engines' Request currency. The wrapper's
+/// Wraps a graph into the engine's Request currency. The wrapper's
 /// `pattern` is the graph's mask (placement/pricing identity), `op` is
 /// sddmm (the DAG's first stage — keeps affinity in the SDDMM domain),
 /// `lhs_id` is the session id when streaming, and the operand slots stay
-/// null: engines route on Request::graph before touching them.
+/// null: the engine routes on Request::graph before touching them.
 Request make_graph_request(std::shared_ptr<const GraphRequest> graph,
                            int priority = 0, double deadline_seconds = 0.0);
 
@@ -115,7 +115,7 @@ double price_session_step_seconds(const sparse::BlockPattern& mask,
 /// Executes the DAG synchronously against `operands`/`plans` on `device`.
 /// The response's hit flags summarize the stable operands (lhs = quantized
 /// Q, rhs = V, plan = both stage plans); the full per-stage breakdown is
-/// in Response::graph->stages. The engines call this from their workers —
+/// in Response::graph->stages. The pool calls this from its workers —
 /// direct calls serve without queueing, like serve_request.
 Response serve_graph_request(const GraphRequest& g, OperandCache& operands,
                              OperandCache& plans,

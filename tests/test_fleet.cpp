@@ -3,11 +3,10 @@
 // beside simt::edge() parts), add_device/drain_device mid-traffic,
 // deterministic fault injection with bounded-retry recovery (results stay
 // bit-exact vs the sequential reference under seeded fault rates up to
-// 30%), retry-budget exhaustion surfacing clean errors, and the typed
-// shared-core regressions — BatchScheduler and DevicePool run the same
-// detail::SubmitQueueCore, so bounded-queue backpressure, shutdown with
-// in-flight work and double-shutdown safety are asserted against both
-// engines from one suite.
+// 30%), retry-budget exhaustion surfacing clean errors, and the submit
+// queue's lifecycle regressions (detail::SubmitQueueCore under the pool):
+// bounded-queue backpressure, shutdown with in-flight work and
+// double-shutdown safety.
 
 #include <gtest/gtest.h>
 
@@ -367,17 +366,24 @@ TEST(FleetElastic, DrainRacingSameSpecReplacementLosesNoTicket) {
     futures.push_back(pool.submit(to_request(p)));
   }
   churn.join();
+  // Under load the racing half can be placed in full before the churn
+  // thread runs; a tail submitted once the replacement has joined must
+  // reach it (it starts with the least modeled backlog).
+  constexpr int kTail = 8;
+  for (int i = 0; i < kTail; ++i) {
+    futures.push_back(pool.submit(to_request(p)));
+  }
   for (auto& f : futures) expect_same_result(f.get(), want, "churn race");
   pool.drain();
 
   const DevicePoolStats ps = pool.stats();
-  EXPECT_EQ(ps.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(ps.submitted, static_cast<std::uint64_t>(kRequests + kTail));
   EXPECT_EQ(ps.completed, ps.submitted);  // no ticket lost
   EXPECT_EQ(ps.failed, 0u);
   ASSERT_EQ(ps.devices.size(), 3u);
   EXPECT_EQ(ps.devices[0].placed + ps.devices[1].placed +
                 ps.devices[2].placed,
-            static_cast<std::uint64_t>(kRequests));
+            static_cast<std::uint64_t>(kRequests + kTail));
   EXPECT_FALSE(pool.device_active(0));
   EXPECT_TRUE(pool.device_active(2));
   EXPECT_GT(ps.devices[2].placed, 0u);  // the replacement absorbed traffic
@@ -507,27 +513,13 @@ INSTANTIATE_TEST_SUITE_P(FleetSizes, FleetPropertyTest,
                            return "N" + std::to_string(info.param);
                          });
 
-// ---- Shared submit-queue core: one contract, both engines ------------------
+// ---- Submit-queue lifecycle ------------------------------------------------
 //
-// BatchScheduler and DevicePool both run detail::SubmitQueueCore; these
-// typed tests pin the shared contract — bounded-queue backpressure that
-// completes everything, shutdown that waits out in-flight work, idempotent
-// (and concurrent) shutdown, and submit-after-shutdown failing cleanly —
-// against BOTH engines so a core regression cannot hide behind whichever
-// engine the other suites happen to exercise.
+// DevicePool's front half is detail::SubmitQueueCore; these tests pin its
+// contract — bounded-queue backpressure that completes everything,
+// shutdown that waits out in-flight work, idempotent (and concurrent)
+// shutdown, and submit-after-shutdown failing cleanly.
 
-template <typename Engine>
-std::unique_ptr<Engine> make_engine(std::size_t max_queue_depth);
-
-template <>
-std::unique_ptr<BatchScheduler> make_engine(std::size_t max_queue_depth) {
-  BatchSchedulerConfig cfg;
-  cfg.max_queue_depth = max_queue_depth;
-  cfg.linger = std::chrono::microseconds(50);
-  return std::make_unique<BatchScheduler>(cfg);
-}
-
-template <>
 std::unique_ptr<DevicePool> make_engine(std::size_t max_queue_depth) {
   DevicePoolConfig cfg;
   cfg.device_count = 2;
@@ -537,14 +529,8 @@ std::unique_ptr<DevicePool> make_engine(std::size_t max_queue_depth) {
   return std::make_unique<DevicePool>(cfg);
 }
 
-template <typename Engine>
-class SharedCoreTest : public ::testing::Test {};
-
-using EngineTypes = ::testing::Types<BatchScheduler, DevicePool>;
-TYPED_TEST_SUITE(SharedCoreTest, EngineTypes);
-
-TYPED_TEST(SharedCoreTest, BoundedQueueBackpressureCompletesEverything) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/2);
+TEST(DevicePoolLifecycle, BoundedQueueBackpressureCompletesEverything) {
+  auto engine = make_engine(/*max_queue_depth=*/2);
   const Problem p =
       make_spmm_problem(128, 64, 64, 8, 0.6, precision::L8R8, 90);
   const Response want = sequential_reference(p);
@@ -560,8 +546,8 @@ TYPED_TEST(SharedCoreTest, BoundedQueueBackpressureCompletesEverything) {
   EXPECT_EQ(stats.failed, 0u);
 }
 
-TYPED_TEST(SharedCoreTest, ShutdownWaitsOutInflightWork) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/0);
+TEST(DevicePoolLifecycle, ShutdownWaitsOutInflightWork) {
+  auto engine = make_engine(/*max_queue_depth=*/0);
   const Problem p =
       make_spmm_problem(128, 64, 64, 8, 0.6, precision::L8R8, 91);
   const Response want = sequential_reference(p);
@@ -580,8 +566,8 @@ TYPED_TEST(SharedCoreTest, ShutdownWaitsOutInflightWork) {
   EXPECT_THROW(engine->submit(to_request(p)), Error);
 }
 
-TYPED_TEST(SharedCoreTest, DoubleAndConcurrentShutdownAreSafe) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/0);
+TEST(DevicePoolLifecycle, DoubleAndConcurrentShutdownAreSafe) {
+  auto engine = make_engine(/*max_queue_depth=*/0);
   const Problem p =
       make_spmm_problem(64, 64, 64, 8, 0.6, precision::L8R8, 92);
   std::vector<std::future<Response>> futures;
@@ -597,8 +583,8 @@ TYPED_TEST(SharedCoreTest, DoubleAndConcurrentShutdownAreSafe) {
   // The destructor's shutdown is now a no-op; ~engine must not hang.
 }
 
-TYPED_TEST(SharedCoreTest, ShutdownUnblocksBackpressuredSubmitters) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/1);
+TEST(DevicePoolLifecycle, ShutdownUnblocksBackpressuredSubmitters) {
+  auto engine = make_engine(/*max_queue_depth=*/1);
   const Problem p =
       make_spmm_problem(128, 64, 64, 8, 0.6, precision::L8R8, 93);
   std::atomic<int> outcomes{0};  // submits that either completed or threw
@@ -634,11 +620,11 @@ TYPED_TEST(SharedCoreTest, ShutdownUnblocksBackpressuredSubmitters) {
 // even while submitters are still unwinding out of their refusal. This
 // stress drives exactly that window, repeatedly and with no settling
 // sleep, so the race has many chances to fire under the sanitizers.
-TYPED_TEST(SharedCoreTest, RacingShutdownThenImmediateDestruction) {
+TEST(DevicePoolLifecycle, RacingShutdownThenImmediateDestruction) {
   const Problem p =
       make_spmm_problem(64, 64, 64, 8, 0.6, precision::L8R8, 94);
   for (int round = 0; round < 20; ++round) {
-    auto engine = make_engine<TypeParam>(/*max_queue_depth=*/1);
+    auto engine = make_engine(/*max_queue_depth=*/1);
     std::atomic<int> outcomes{0};
     std::vector<std::thread> submitters;
     for (int t = 0; t < 3; ++t) {

@@ -1,8 +1,8 @@
 // Fused attention-graph serving suite (`serve` CTest label): GraphRequest
 // bit-exactness against the composed three-call reference across schemes and
 // mask families, the zero-intermediate-insertion arena contract,
-// estimate-equals-execute for the fused pricing, the Request wrapper, both
-// engines' graph routing (stage spans included), and token sessions —
+// estimate-equals-execute for the fused pricing, the Request wrapper, the
+// pool's graph routing (stage spans included), and token sessions —
 // mask re-slicing, replay invariance across pool sizes, and budgeted
 // admission.
 
@@ -186,15 +186,6 @@ TEST(GraphRequest, WrapperCarriesMaskIdentityAndNoOperands) {
 }
 
 // ---- Engine routing -------------------------------------------------------
-
-TEST(BatchScheduler, ServesGraphRequestsBitExactly) {
-  auto g = make_graph(conformance_masks(64, 8)[0], 64,
-                      AttentionScheme::magicube_8b_8b, 23);
-  BatchScheduler engine;
-  const Response resp = engine.submit(make_graph_request(g)).get();
-  ASSERT_TRUE(resp.graph);
-  EXPECT_EQ(resp.graph->out, composed_reference(*g));
-}
 
 TEST(DevicePool, PlacesGraphWholeAndTracesStages) {
   auto g = make_graph(conformance_masks(64, 8)[0], 64,

@@ -1,10 +1,12 @@
 // Serving-engine suite (`serve` CTest label, also the TSan CI gate):
-// operand-cache accounting and LRU eviction, batched execution bit-exact
-// against sequential core:: calls across precision pairs, batch grouping,
-// failure propagation, and a multi-threaded submit stress test.
+// operand-cache accounting and LRU eviction, requests served through a
+// one-device DevicePool bit-exact against sequential core:: calls across
+// precision pairs, drain and backpressure, and a multi-threaded submit
+// stress test.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -60,6 +62,18 @@ Request sddmm_request(const Problem& p, PrecisionPair prec) {
   req.rhs_values = p.rhs;
   req.lhs_id = 0;  // anonymous activations
   return req;
+}
+
+/// A one-device pool: the single-engine setting these tests exercise (no
+/// sharding, no cross-device placement).
+DevicePoolConfig one_device(
+    std::chrono::microseconds linger = std::chrono::microseconds(200),
+    std::size_t max_queue_depth = 0) {
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
+  cfg.linger = linger;
+  cfg.max_queue_depth = max_queue_depth;
+  return cfg;
 }
 
 // ---- OperandCache ---------------------------------------------------------
@@ -351,7 +365,7 @@ TEST(ServeRequest, SplitCachesAndPerDeviceCosting) {
   EXPECT_EQ(r1.spmm->c, r2.spmm->c);
 }
 
-// ---- BatchScheduler correctness ------------------------------------------
+// ---- Served correctness ---------------------------------------------------
 
 class ServePrecisionTest : public ::testing::TestWithParam<PrecisionPair> {};
 
@@ -366,7 +380,7 @@ TEST_P(ServePrecisionTest, BatchedSpmmBitExactVsSequential) {
   const auto rhs = core::prepare_spmm_rhs(*p.rhs, prec);
   const core::SpmmResult expect = core::spmm(lhs, rhs, cfg);
 
-  BatchScheduler engine;
+  DevicePool engine(one_device());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(engine.submit(spmm_request(p, prec)));
@@ -378,16 +392,24 @@ TEST_P(ServePrecisionTest, BatchedSpmmBitExactVsSequential) {
     EXPECT_EQ(resp.spmm->run.counters, expect.run.counters);
     EXPECT_GT(resp.modeled_seconds, 0.0);
   }
-  // One preparation and one execution plan amortized over the burst: each
-  // request looks up the LHS and the plan (12 lookups), with exactly one
-  // winning insertion per kind; concurrent batch members that miss before
-  // the winner lands re-prepare and discard (counted race_discards).
-  const CacheStats cs = engine.cache().stats();
-  EXPECT_EQ(cs.lookups, 12u);
-  EXPECT_EQ(cs.hits + cs.misses, cs.lookups);
-  EXPECT_EQ(cs.insertions, 2u);
-  EXPECT_EQ(cs.misses, 2u + cs.race_discards);
-  EXPECT_EQ(engine.cache().entry_count(), 2u);
+  engine.drain();  // cache stats are final only once the engine is idle
+  // One preparation and one execution plan amortized over the burst. Each
+  // request looks up its LHS in the device cache (6 lookups) with exactly
+  // one winning insertion; concurrent members that miss before the winner
+  // lands re-prepare and discard (counted race_discards).
+  const CacheStats ds = engine.device_cache(0).stats();
+  EXPECT_EQ(ds.lookups, 6u);
+  EXPECT_EQ(ds.hits + ds.misses, ds.lookups);
+  EXPECT_EQ(ds.insertions, 1u);
+  EXPECT_EQ(ds.misses, 1u + ds.race_discards);
+  EXPECT_EQ(engine.device_cache(0).entry_count(), 1u);
+  // The shared plan cache sees two lookups per request — pricing at
+  // dispatch, then the build-or-hit at execution — and one insertion.
+  const CacheStats ps = engine.plan_cache().stats();
+  EXPECT_EQ(ps.lookups, 12u);
+  EXPECT_EQ(ps.hits + ps.misses, ps.lookups);
+  EXPECT_EQ(ps.insertions, 1u);
+  EXPECT_EQ(engine.plan_cache().entry_count(), 1u);
 }
 
 TEST_P(ServePrecisionTest, BatchedSddmmBitExactVsSequential) {
@@ -401,7 +423,7 @@ TEST_P(ServePrecisionTest, BatchedSddmmBitExactVsSequential) {
   const auto b = core::prepare_dense(*p.rhs, prec.rhs, false, chunk);
   const core::SddmmResult expect = core::sddmm(a, b, *p.pattern, cfg);
 
-  BatchScheduler engine;
+  DevicePool engine(one_device());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(engine.submit(sddmm_request(p, prec)));
@@ -426,76 +448,15 @@ INSTANTIATE_TEST_SUITE_P(
       return s;
     });
 
-TEST(BatchScheduler, CompatibleBurstSharesOneBatch) {
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.linger = std::chrono::milliseconds(1000);  // dispatch on fill, not time
-  BatchScheduler engine(cfg);
-
-  const Problem p = make_problem(precision::L8R8, 30);
-  std::vector<std::future<Response>> futures;
-  for (std::size_t i = 0; i < cfg.max_batch; ++i) {
-    futures.push_back(engine.submit(spmm_request(p, precision::L8R8)));
-  }
-  std::vector<Response> responses;
-  for (auto& f : futures) responses.push_back(f.get());
-
-  // All four were compatible and submitted within the linger window, so
-  // they must have been dispatched as one full batch.
-  for (const auto& r : responses) {
-    EXPECT_EQ(r.batch_id, responses.front().batch_id);
-    EXPECT_EQ(r.batch_size, cfg.max_batch);
-  }
-  const SchedulerStats ss = engine.stats();
-  EXPECT_EQ(ss.batches, 1u);
-  EXPECT_EQ(ss.batched_requests, cfg.max_batch);
-  EXPECT_EQ(ss.max_batch_size, cfg.max_batch);
-}
-
-TEST(BatchScheduler, IncompatibleRequestsSplitBatches) {
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.linger = std::chrono::milliseconds(1000);
-  BatchScheduler engine(cfg);
-
-  const Problem p8 = make_problem(precision::L8R8, 31);
-  const Problem p4 = make_problem(precision::L4R4, 32);
-  auto f1 = engine.submit(spmm_request(p8, precision::L8R8));
-  auto f2 = engine.submit(spmm_request(p4, precision::L4R4));
-  auto f3 = engine.submit(sddmm_request(p8, precision::L8R8));
-  const Response r1 = f1.get(), r2 = f2.get(), r3 = f3.get();
-
-  EXPECT_NE(r1.batch_id, r2.batch_id);
-  EXPECT_NE(r1.batch_id, r3.batch_id);
-  EXPECT_EQ(engine.stats().batches, 3u);
-}
-
-TEST(BatchScheduler, MalformedRequestFailsItsFutureOnly) {
-  BatchScheduler engine;
-  const Problem p = make_problem(precision::L8R8, 33);
-
-  Request bad = spmm_request(p, precision::L8R8);
-  bad.rhs_values = nullptr;
-  auto bad_future = engine.submit(std::move(bad));
-  auto good_future = engine.submit(spmm_request(p, precision::L8R8));
-
-  EXPECT_THROW(bad_future.get(), Error);
-  EXPECT_TRUE(good_future.get().spmm.has_value());
-  engine.drain();  // stats are final only once the engine is idle
-  const SchedulerStats ss = engine.stats();
-  EXPECT_EQ(ss.completed, 2u);
-  EXPECT_EQ(ss.failed, 1u);
-}
-
-TEST(BatchScheduler, DrainCompletesAllSubmitted) {
-  BatchScheduler engine;
+TEST(DevicePool, DrainCompletesAllSubmitted) {
+  DevicePool engine(one_device());
   const Problem p = make_problem(precision::L8R8, 34);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 20; ++i) {
     futures.push_back(engine.submit(spmm_request(p, precision::L8R8)));
   }
   engine.drain();
-  const SchedulerStats ss = engine.stats();
+  const DevicePoolStats ss = engine.stats();
   EXPECT_EQ(ss.submitted, 20u);
   EXPECT_EQ(ss.completed, 20u);
   for (auto& f : futures) {
@@ -548,7 +509,7 @@ TEST(OperandCache, PlanBytesChargedToLruBudget) {
 TEST(OperandCache, PlanSharedAcrossWeightVersionsOfOnePattern) {
   // Plans depend only on the structure: distinct weight matrices pruned to
   // one pattern (distinct lhs_id) replay one cached plan.
-  BatchScheduler engine;
+  DevicePool engine(one_device());
   const Problem p = make_problem(precision::L8R8, 41);
   Rng rng(42);
   const auto other_weights = std::make_shared<const Matrix<std::int32_t>>(
@@ -579,31 +540,9 @@ TEST(OperandCache, PlanSharedAcrossWeightVersionsOfOnePattern) {
 
 // ---- Bounded submit queue -------------------------------------------------
 
-TEST(BatchScheduler, BoundedQueueCompletesEverything) {
-  BatchSchedulerConfig cfg;
-  cfg.max_queue_depth = 2;
-  cfg.max_batch = 2;
-  cfg.linger = std::chrono::microseconds(50);
-  BatchScheduler engine(cfg);
-
-  const Problem p = make_problem(precision::L8R8, 50);
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 16; ++i) {
-    // submit() may block on backpressure; it must never drop or deadlock.
-    futures.push_back(engine.submit(spmm_request(p, precision::L8R8)));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().spmm.has_value());
-  engine.drain();  // stats are final only once the engine is idle
-  const SchedulerStats ss = engine.stats();
-  EXPECT_EQ(ss.submitted, 16u);
-  EXPECT_EQ(ss.completed, 16u);
-}
-
-TEST(BatchScheduler, BoundedQueueBackpressureAcrossThreads) {
-  BatchSchedulerConfig cfg;
-  cfg.max_queue_depth = 1;  // every concurrent submitter contends
-  cfg.linger = std::chrono::microseconds(0);
-  BatchScheduler engine(cfg);
+TEST(DevicePool, BoundedQueueBackpressureAcrossThreads) {
+  // max_queue_depth 1: every concurrent submitter contends.
+  DevicePool engine(one_device(std::chrono::microseconds(0), 1));
 
   const Problem p = make_problem(precision::L8R8, 51);
   constexpr int kThreads = 4, kEach = 8;
@@ -626,7 +565,7 @@ TEST(BatchScheduler, BoundedQueueBackpressureAcrossThreads) {
 
 // ---- Multi-threaded stress ------------------------------------------------
 
-TEST(BatchScheduler, MultiThreadedSubmitStress) {
+TEST(DevicePool, MultiThreadedSubmitStress) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 32;
   const PrecisionPair precisions[] = {precision::L8R8, precision::L16R8,
@@ -661,9 +600,7 @@ TEST(BatchScheduler, MultiThreadedSubmitStress) {
     expected[static_cast<std::size_t>(pi)].push_back(std::move(e));
   }
 
-  BatchSchedulerConfig cfg;
-  cfg.linger = std::chrono::microseconds(100);
-  BatchScheduler engine(cfg);
+  DevicePool engine(one_device(std::chrono::microseconds(100)));
 
   std::vector<std::thread> clients;
   std::vector<int> mismatches(kClients, 0);
@@ -693,19 +630,23 @@ TEST(BatchScheduler, MultiThreadedSubmitStress) {
   for (int t = 0; t < kClients; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 
   engine.drain();  // stats are final only once the engine is idle
-  const SchedulerStats ss = engine.stats();
+  const DevicePoolStats ss = engine.stats();
   EXPECT_EQ(ss.submitted,
             static_cast<std::uint64_t>(kClients) * kPerClient);
   EXPECT_EQ(ss.completed, ss.submitted);
   EXPECT_EQ(ss.failed, 0u);
 
-  const CacheStats cs = engine.cache().stats();
-  EXPECT_EQ(cs.hits + cs.misses, cs.lookups);
-  // Every request looks up its LHS (SpMM only) and its execution plan; only
-  // the first per (problem, precision, kind) misses — 3 SpMM LHS + 3 SpMM
-  // plans + 3 SDDMM plans (modulo prepare races, which the cache
-  // reconciles).
-  EXPECT_GE(cs.hits, cs.lookups - 9 - cs.race_discards);
+  // Every SpMM request looks up its LHS in the device cache; only the first
+  // per (problem, precision) misses (modulo prepare races, which the cache
+  // reconciles). The shared plan cache holds exactly one plan per
+  // (problem, precision, op): 3 SpMM + 3 SDDMM.
+  const CacheStats ds = engine.device_cache(0).stats();
+  EXPECT_EQ(ds.hits + ds.misses, ds.lookups);
+  EXPECT_GE(ds.hits, ds.lookups - 3 - ds.race_discards);
+  EXPECT_EQ(ds.insertions, 3u);
+  const CacheStats ps = engine.plan_cache().stats();
+  EXPECT_EQ(ps.hits + ps.misses, ps.lookups);
+  EXPECT_EQ(ps.insertions, 6u);
 }
 
 }  // namespace

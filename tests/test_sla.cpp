@@ -2,10 +2,9 @@
 // and shedding (whole, sharded and retry re-placement paths — always a
 // clean ShedError with a `shed` trace span, never a silent drop),
 // EDF-within-priority dispatch ordering, shed determinism across fleet
-// sizes, manifest-driven cache warmup on both engines, device-affinity
-// placement, drain-triggered cost-model re-placement of queued work
-// (bit-exact), adaptive linger accounting, and the BatchScheduler's
-// modeled-work batch sizing.
+// sizes, malformed-deadline rejection, manifest-driven cache warmup,
+// device-affinity placement, drain-triggered cost-model re-placement of
+// queued work (bit-exact), and adaptive linger accounting.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +12,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -267,24 +268,6 @@ TEST(SlaWarmup, PoolServesWarmPlanHitsFromFirstRequest) {
   expect_same_result(resp, sequential_reference(p), "warm pool");
 }
 
-TEST(SlaWarmup, SchedulerServesWarmPlanHitsFromFirstRequest) {
-  const Problem p =
-      make_spmm_problem(128, 64, 64, 8, 0.5, precision::L8R8, 907);
-  BatchScheduler sched;
-  WarmupManifest manifest;
-  WarmupEntry e;
-  e.pattern = p.pattern;
-  e.cols = p.rhs->cols();
-  e.pin = true;
-  manifest.entries.push_back(e);
-  const WarmupReport report = sched.warmup(manifest);
-  EXPECT_EQ(report.plans_built, 1u);
-  EXPECT_EQ(report.pinned, 1u);
-
-  const Response resp = sched.submit(to_request(p)).get();
-  EXPECT_TRUE(resp.plan_cache_hit);
-}
-
 // ---- Deadline shedding ----------------------------------------------------
 
 TEST(SlaShed, InfeasibleDeadlineShedsWithTraceAndStats) {
@@ -321,6 +304,47 @@ TEST(SlaShed, InfeasibleDeadlineShedsWithTraceAndStats) {
   }
   EXPECT_TRUE(saw_deadline);
   EXPECT_TRUE(saw_completion);
+}
+
+TEST(SlaShed, NegativeOrNanDeadlineFailsItsFutureOnly) {
+  // A deadline that is negative or not finite is malformed, not "no
+  // deadline": it fails its own future with a typed Error (not a shed)
+  // while the rest of the round serves normally. 0 still means none.
+  const Problem p =
+      make_spmm_problem(128, 64, 64, 8, 0.5, precision::L8R8, 940);
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
+  cfg.shard_threshold_seconds = 0;
+  cfg.linger = std::chrono::milliseconds(20);
+  DevicePool pool(cfg);
+
+  auto negative = pool.submit(to_request(p, /*priority=*/0, -1.0));
+  auto nan = pool.submit(
+      to_request(p, 0, std::numeric_limits<double>::quiet_NaN()));
+  auto none = pool.submit(to_request(p, 0, 0.0));
+  auto generous = pool.submit(to_request(p, 0, 1.0));
+
+  EXPECT_THROW(negative.get(), Error);
+  EXPECT_THROW(nan.get(), Error);
+  const Response want = sequential_reference(p);
+  expect_same_result(none.get(), want, "no deadline");
+  expect_same_result(generous.get(), want, "generous deadline");
+  pool.drain();
+
+  const DevicePoolStats st = pool.stats();
+  EXPECT_EQ(st.completed, 4u);
+  EXPECT_EQ(st.failed, 2u);
+  EXPECT_EQ(st.shed, 0u);  // rejected as malformed, not shed
+  EXPECT_EQ(st.devices[0].placed, 2u);
+  // The failure names the field. Read from the trace log, which the
+  // dispatcher filled before resolving the future.
+  std::size_t named = 0;
+  for (const auto& t : pool.traces().snapshot()) {
+    if (!t->ok && t->error.find("deadline_seconds") != std::string::npos) {
+      named += 1;
+    }
+  }
+  EXPECT_EQ(named, 2u);
 }
 
 TEST(SlaShed, ShedErrorIsAnError) {
@@ -664,54 +688,6 @@ TEST(SlaReplace, NoSurvivorKeepsQueuedWorkOnDrainedDevice) {
     expect_same_result(resp, want, "drained-but-kept");
     EXPECT_EQ(resp.device, 0);
   }
-}
-
-// ---- Modeled-work batch sizing --------------------------------------------
-
-TEST(SlaBatchBudget, TightBudgetDispatchesSinglesLooseBudgetCoalesces) {
-  const Problem p =
-      make_spmm_problem(128, 64, 64, 8, 0.5, precision::L8R8, 936);
-  const double est = est_on_a100(p);
-  const Response want = sequential_reference(p);
-  const int n = 6;
-  {
-    // Budget below one request's cost: the first member is still always
-    // admitted, so every batch is exactly one request.
-    BatchSchedulerConfig cfg;
-    cfg.max_batch = 8;
-    cfg.batch_budget_seconds = est / 10.0;
-    cfg.linger = std::chrono::seconds(2);
-    cfg.max_queue_depth = n;
-    BatchScheduler sched(cfg);
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < n; ++i) futures.push_back(sched.submit(to_request(p)));
-    for (auto& f : futures) expect_same_result(f.get(), want, "tight");
-    const SchedulerStats st = sched.stats();
-    EXPECT_EQ(st.batches, static_cast<std::uint64_t>(n));
-    EXPECT_EQ(st.max_batch_size, 1u);
-  }
-  {
-    // Budget far above the whole round: the compatible group coalesces
-    // into one batch, exactly the static behavior.
-    BatchSchedulerConfig cfg;
-    cfg.max_batch = 8;
-    cfg.batch_budget_seconds = 100.0 * n * est;
-    cfg.linger = std::chrono::seconds(2);
-    cfg.max_queue_depth = n;
-    BatchScheduler sched(cfg);
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < n; ++i) futures.push_back(sched.submit(to_request(p)));
-    for (auto& f : futures) expect_same_result(f.get(), want, "loose");
-    const SchedulerStats st = sched.stats();
-    EXPECT_EQ(st.batches, 1u);
-    EXPECT_EQ(st.max_batch_size, static_cast<std::uint64_t>(n));
-  }
-}
-
-TEST(SlaBatchBudget, RejectsNegativeBudget) {
-  BatchSchedulerConfig cfg;
-  cfg.batch_budget_seconds = -1.0;
-  EXPECT_THROW(BatchScheduler sched(cfg), Error);
 }
 
 }  // namespace

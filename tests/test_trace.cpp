@@ -1,5 +1,5 @@
 // Trace-schema suite (`serve` CTest label): the structured per-request
-// traces both serving engines emit (serve/trace.hpp) are well-formed JSON,
+// traces the serving engine emits (serve/trace.hpp) are well-formed JSON,
 // their spans nest within and cover the request's full modeled interval
 // (no silent gap: backlog waits are `queue` spans, re-placement gaps are
 // `retry` spans), retry spans appear exactly when faults were injected,
@@ -103,46 +103,6 @@ void expect_spans_cover_interval(const RequestTrace& trace) {
 }
 
 // ---- Well-formedness ------------------------------------------------------
-
-TEST(TraceSchema, BatchSchedulerTraceWellFormedJson) {
-  BatchSchedulerConfig cfg;
-  cfg.linger = std::chrono::microseconds(50);
-  BatchScheduler engine(cfg);
-  const Problem p = make_problem(OpKind::spmm, 128, 64, 64, 0.5, 901);
-  const Response resp = engine.submit(to_request(p)).get();
-
-  ASSERT_TRUE(resp.trace);
-  const RequestTrace& trace = *resp.trace;
-  EXPECT_EQ(trace.request_id, 1u);
-  EXPECT_EQ(trace.engine, "batch_scheduler");
-  EXPECT_TRUE(trace.ok);
-  expect_spans_cover_interval(trace);
-  EXPECT_EQ(count_spans(trace, "replay"), 1u);
-
-  const testjson::Value doc = testjson::parse(to_json(trace));
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.at("request_id").num, 1.0);
-  EXPECT_EQ(doc.at("engine").str, "batch_scheduler");
-  EXPECT_EQ(doc.at("op").str, "spmm");
-  EXPECT_EQ(doc.at("precision").str, "L8-R8");
-  EXPECT_TRUE(doc.at("ok").b);
-  EXPECT_EQ(doc.at("error").str, "");
-  EXPECT_EQ(doc.at("retries").num, 0.0);
-  EXPECT_EQ(doc.at("faults_injected").num, 0.0);
-  EXPECT_EQ(doc.at("shards").num, 1.0);
-  EXPECT_GT(doc.at("modeled_seconds").num, 0.0);
-  const testjson::Value& spans = doc.at("spans");
-  ASSERT_TRUE(spans.is_array());
-  ASSERT_EQ(spans.arr.size(), trace.spans.size());
-  for (std::size_t i = 0; i < spans.arr.size(); ++i) {
-    const testjson::Value& s = spans.arr[i];
-    EXPECT_EQ(s.at("name").str, trace.spans[i].name);
-    EXPECT_EQ(s.at("begin").num, trace.spans[i].begin_seconds);
-    EXPECT_EQ(s.at("end").num, trace.spans[i].end_seconds);
-    EXPECT_TRUE(s.at("attrs").is_object());
-  }
-  EXPECT_EQ(engine.traces().size(), 1u);
-}
 
 TEST(TraceSchema, PoolTraceCoversIntervalWholeAndSharded) {
   DevicePoolConfig cfg;
@@ -291,17 +251,21 @@ TEST(TraceLog, WriteJsonExportsParseableDocument) {
 }
 
 TEST(TraceSchema, BatchAttrsRecordBatchGrouping) {
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 2;  // the second submit cuts the linger short
+  // Two submits inside one linger share a dispatch round: the full
+  // bounded queue (depth 2) cuts the long linger short.
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
   cfg.linger = std::chrono::seconds(2);
   cfg.max_queue_depth = 2;
-  BatchScheduler engine(cfg);
+  DevicePool engine(cfg);
   const Problem p = make_problem(OpKind::spmm, 64, 64, 64, 0.5, 908);
   auto f1 = engine.submit(to_request(p));
   auto f2 = engine.submit(to_request(p));
   const Response r1 = f1.get(), r2 = f2.get();
   ASSERT_TRUE(r1.trace && r2.trace);
+  EXPECT_EQ(r1.batch_id, r2.batch_id);
   EXPECT_EQ(r1.batch_size, 2u);
+  EXPECT_EQ(r2.batch_size, 2u);
   EXPECT_EQ(count_spans(*r1.trace, "place", "batch_size", "2"), 1u);
   EXPECT_EQ(count_spans(*r2.trace, "place", "batch_size", "2"), 1u);
 }
