@@ -17,17 +17,30 @@
 // registration turns a fast-path regression into a red build. Sanitizer
 // builds report without enforcing (distorted timings).
 //
+// Timing: every (shape, engine) pair is timed in windows calibrated to at
+// least 5 ms of calls (the smoke shapes replay in ~0.05 ms, so a fixed
+// call count made a window too short to rise above scheduler noise), for
+// 5 rounds with the engines interleaved per round; the per-call median is
+// what the gates compare, and the coefficient of variation of each
+// engine's rounds is reported beside it.
+//
 // Like serve_throughput, --smoke is peeled off argv and the rest forwards
 // to google-benchmark (--benchmark_out, ...); CI uploads the JSON so the
-// BENCH_* perf trajectory populates — once per MAGICUBE_SIMD leg.
+// BENCH_* perf trajectory populates — once per MAGICUBE_SIMD leg. The
+// BM_ReplayComparison entry of that JSON carries the table's aggregates:
+// gated speedups, per-engine CV, per-bucket panel GOPS and the dispatched
+// panel-kernel flavor.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -60,7 +73,6 @@ struct Shape {
   std::size_t m = 512, k = 512, n = 512;
   double sparsity = 0.9;
   int v = 8;
-  int reps = 3;  // interleaved timing rounds (plan built once)
 };
 
 Shape shape_for(bool smoke) {
@@ -69,7 +81,6 @@ Shape shape_for(bool smoke) {
     s.m = 128;
     s.k = 128;
     s.n = 128;
-    s.reps = 5;
   }
   return s;
 }
@@ -78,25 +89,75 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Times a contiguous batch of `reps` calls of `fn` and folds the per-call
-/// mean into `best` (minimum over rounds). Each mode is timed in its own
-/// warm batch — steady-state is what plan replay looks like in serving
-/// traffic, and interleaving the modes would hand the replay a cache
-/// thrashed by the simulator every round — while min-over-rounds keeps the
-/// estimate robust when the bench shares the machine (CTest runs the smoke
-/// registration alongside other tests).
+constexpr double kMinWindowSeconds = 5e-3;
+constexpr int kTimingRounds = 5;
+
+/// Per-call seconds of one engine across the timing rounds.
+struct Samples {
+  int calls = 1;  // calls per window, calibrated to >= kMinWindowSeconds
+  std::vector<double> per_call;
+
+  double median() const {
+    std::vector<double> v = per_call;
+    std::sort(v.begin(), v.end());
+    const std::size_t h = v.size() / 2;
+    return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  }
+  /// Coefficient of variation (stddev / mean) of the rounds.
+  double cv() const {
+    double mean = 0;
+    for (const double x : per_call) mean += x;
+    mean /= static_cast<double>(per_call.size());
+    double var = 0;
+    for (const double x : per_call) var += (x - mean) * (x - mean);
+    var /= static_cast<double>(per_call.size());
+    return mean > 0 ? std::sqrt(var) / mean : 0;
+  }
+};
+
+/// Doubles the window's call count until one window takes at least
+/// kMinWindowSeconds (the calls double as warm-up).
 template <typename Fn>
-void time_batch_min(int reps, Fn&& fn, double& best) {
-  const auto start = Clock::now();
-  for (int i = 0; i < reps; ++i) fn();
-  best = std::min(best, seconds_since(start) / reps);
+Samples calibrate(Fn&& fn) {
+  Samples s;
+  for (;;) {
+    const auto start = Clock::now();
+    for (int i = 0; i < s.calls; ++i) fn();
+    if (seconds_since(start) >= kMinWindowSeconds) return s;
+    s.calls *= 2;
+  }
 }
 
-constexpr int kTimingRounds = 2;
+/// Times one calibrated window and appends its per-call seconds.
+template <typename Fn>
+void time_window(Samples& s, Fn&& fn) {
+  const auto start = Clock::now();
+  for (int i = 0; i < s.calls; ++i) fn();
+  s.per_call.push_back(seconds_since(start) / s.calls);
+}
+
+/// Calibrates each engine, then runs kTimingRounds rounds with the engines
+/// interleaved, one warm window per engine per round — steady-state is what
+/// plan replay looks like in serving traffic, and the median over rounds
+/// keeps the estimate robust when the bench shares the machine (CTest runs
+/// the smoke registration alongside other tests).
+template <typename Sim, typename Frag, typename Panel>
+void time_engines(Sim&& sim, Frag&& frag, Panel&& panel, Samples& sim_s,
+                  Samples& frag_s, Samples& panel_s) {
+  sim_s = calibrate(sim);
+  frag_s = calibrate(frag);
+  panel_s = calibrate(panel);
+  for (int round = 0; round < kTimingRounds; ++round) {
+    time_window(sim_s, sim);
+    time_window(frag_s, frag);
+    time_window(panel_s, panel);
+  }
+}
 
 struct OpTimings {
-  double simulate_s = 1e30, fragment_s = 1e30, panel_s = 1e30;
+  Samples simulate, fragment, panel;
   double plan_build_s = 0;
+  std::uint64_t useful_ops = 0;
   /// Plan-recorded bucket census (which specialized kernel each block row /
   /// block replays through) — surfaced in the table and the JSON artifact.
   std::array<std::uint64_t, simt::kSpmmBucketKinds> spmm_buckets{};
@@ -137,24 +198,18 @@ OpTimings time_spmm(const Shape& shape, PrecisionPair prec,
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
                      "fast/simulate counter mismatch");
 
-  for (int round = 0; round < kTimingRounds; ++round) {
-    cfg.mode = core::ExecMode::simulate;
-    cfg.replay = std::nullopt;
-    time_batch_min(
-        shape.reps, [&] { benchmark::DoNotOptimize(core::spmm(a, b, cfg)); },
-        t.simulate_s);
-    cfg.mode = core::ExecMode::fast;
-    cfg.replay = core::ReplayKernel::fragment;
-    time_batch_min(
-        shape.reps,
-        [&] { benchmark::DoNotOptimize(core::spmm(a, b, cfg, *plan)); },
-        t.fragment_s);
-    cfg.replay = core::ReplayKernel::panel;
-    time_batch_min(
-        shape.reps,
-        [&] { benchmark::DoNotOptimize(core::spmm(a, b, cfg, *plan)); },
-        t.panel_s);
-  }
+  core::SpmmConfig sim_cfg = cfg, frag_cfg = cfg, panel_cfg = cfg;
+  sim_cfg.mode = core::ExecMode::simulate;
+  sim_cfg.replay = std::nullopt;
+  frag_cfg.mode = panel_cfg.mode = core::ExecMode::fast;
+  frag_cfg.replay = core::ReplayKernel::fragment;
+  panel_cfg.replay = core::ReplayKernel::panel;
+  time_engines(
+      [&] { benchmark::DoNotOptimize(core::spmm(a, b, sim_cfg)); },
+      [&] { benchmark::DoNotOptimize(core::spmm(a, b, frag_cfg, *plan)); },
+      [&] { benchmark::DoNotOptimize(core::spmm(a, b, panel_cfg, *plan)); },
+      t.simulate, t.fragment, t.panel);
+  t.useful_ops = core::spmm_useful_ops(pattern, shape.n);
   return t;
 }
 
@@ -194,47 +249,85 @@ OpTimings time_sddmm(const Shape& shape, PrecisionPair prec,
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
                      "fast/simulate counter mismatch");
 
-  for (int round = 0; round < kTimingRounds; ++round) {
-    cfg.mode = core::ExecMode::simulate;
-    cfg.replay = std::nullopt;
-    time_batch_min(
-        shape.reps,
-        [&] { benchmark::DoNotOptimize(core::sddmm(a, b, pattern, cfg)); },
-        t.simulate_s);
-    cfg.mode = core::ExecMode::fast;
-    cfg.replay = core::ReplayKernel::fragment;
-    time_batch_min(
-        shape.reps,
-        [&] {
-          benchmark::DoNotOptimize(core::sddmm(a, b, pattern, cfg, *plan));
-        },
-        t.fragment_s);
-    cfg.replay = core::ReplayKernel::panel;
-    time_batch_min(
-        shape.reps,
-        [&] {
-          benchmark::DoNotOptimize(core::sddmm(a, b, pattern, cfg, *plan));
-        },
-        t.panel_s);
-  }
+  core::SddmmConfig sim_cfg = cfg, frag_cfg = cfg, panel_cfg = cfg;
+  sim_cfg.mode = core::ExecMode::simulate;
+  sim_cfg.replay = std::nullopt;
+  frag_cfg.mode = panel_cfg.mode = core::ExecMode::fast;
+  frag_cfg.replay = core::ReplayKernel::fragment;
+  panel_cfg.replay = core::ReplayKernel::panel;
+  time_engines(
+      [&] { benchmark::DoNotOptimize(core::sddmm(a, b, pattern, sim_cfg)); },
+      [&] {
+        benchmark::DoNotOptimize(core::sddmm(a, b, pattern, frag_cfg, *plan));
+      },
+      [&] {
+        benchmark::DoNotOptimize(
+            core::sddmm(a, b, pattern, panel_cfg, *plan));
+      },
+      t.simulate, t.fragment, t.panel);
+  t.useful_ops = core::sddmm_useful_ops(pattern, k);
   return t;
 }
 
 bool g_smoke = false;
 
+/// Aggregates of the comparison table, exported through the
+/// BM_ReplayComparison entry of the google-benchmark JSON.
+struct Summary {
+  double vs_simulate = 0, vs_fragment = 0;
+  double max_cv_simulate = 0, max_cv_fragment = 0, max_cv_panel = 0;
+  /// Useful GOPS of the panel replay per dominant bucket (the bucket most
+  /// of a shape's block rows / blocks replay through).
+  std::map<std::string, std::pair<double, double>> bucket_ops_seconds;
+};
+Summary g_summary;
+
+template <std::size_t N>
+std::size_t dominant(const std::array<std::uint64_t, N>& census) {
+  return static_cast<std::size_t>(
+      std::max_element(census.begin(), census.end()) - census.begin());
+}
+
+void add_row(bench::Table& table, const char* op, PrecisionPair prec,
+             const OpTimings& t, const std::string& bucket) {
+  const double sim = t.simulate.median(), frag = t.fragment.median();
+  const double panel = t.panel.median();
+  table.add_row({op, to_string(prec), bench::fmt(sim * 1e3, 3),
+                 bench::fmt(frag * 1e3, 3), bench::fmt(panel * 1e3, 3),
+                 bench::fmt(sim / panel, 2) + "x",
+                 bench::fmt(frag / panel, 2) + "x",
+                 bench::fmt(100 * t.panel.cv(), 1) + "%",
+                 bench::fmt(static_cast<double>(t.useful_ops) / panel / 1e9, 2),
+                 bucket, bench::fmt(t.plan_build_s * 1e3, 3)});
+  g_summary.max_cv_simulate = std::max(g_summary.max_cv_simulate,
+                                       t.simulate.cv());
+  g_summary.max_cv_fragment = std::max(g_summary.max_cv_fragment,
+                                       t.fragment.cv());
+  g_summary.max_cv_panel = std::max(g_summary.max_cv_panel, t.panel.cv());
+  auto& [ops, seconds] = g_summary.bucket_ops_seconds[std::string(op) + "_" +
+                                                      bucket];
+  ops += static_cast<double>(t.useful_ops);
+  seconds += panel;
+}
+
 bool comparison_table(bool smoke) {
   const Shape shape = shape_for(smoke);
   std::printf("== replay engines: panel vs fragment vs ExecMode::simulate"
-              "%s (SIMD micro-kernel: %s) ==\n",
+              "%s (SIMD micro-kernel: %s; panel kernel flavor: %s) ==\n",
               smoke ? " [smoke]" : "",
-              simt::simd_enabled() ? "on" : "off (scalar fallback)");
+              simt::simd_enabled() ? "on" : "off (scalar fallback)",
+              simt::panel_isa_name());
   std::printf("SpMM shapes (Fig. 12): M=%zu K=%zu N=%zu V=%d, sparsity "
-              "%.2f; SDDMM (Fig. 13) on the M x N pattern at K=%zu\n\n",
+              "%.2f; SDDMM (Fig. 13) on the M x N pattern at K=%zu\n",
               shape.m, shape.k, shape.n, shape.v, shape.sparsity, shape.k);
+  std::printf("per-call medians of %d rounds, each a window of >= %.0f ms "
+              "of calls; cv = coefficient of variation of the panel "
+              "rounds; GOPS = useful ops / panel time\n\n",
+              kTimingRounds, kMinWindowSeconds * 1e3);
 
   bench::Table table({"op", "precision", "simulate (ms)", "fragment (ms)",
                       "panel (ms)", "panel vs sim", "panel vs frag",
-                      "plan build (ms)"});
+                      "panel cv", "panel GOPS", "bucket", "plan build (ms)"});
   double sim_total = 0, frag_total = 0, panel_total = 0;
   std::array<std::uint64_t, simt::kSpmmBucketKinds> spmm_buckets{};
   std::array<std::uint64_t, simt::kSddmmBucketKinds> sddmm_buckets{};
@@ -247,18 +340,15 @@ bool comparison_table(bool smoke) {
     const OpTimings t =
         time_spmm(shape, prec, 0x916 + bits_of(prec.lhs) * 8u +
                                    static_cast<unsigned>(bits_of(prec.rhs)));
-    sim_total += t.simulate_s;
-    frag_total += t.fragment_s;
-    panel_total += t.panel_s;
+    sim_total += t.simulate.median();
+    frag_total += t.fragment.median();
+    panel_total += t.panel.median();
     for (std::size_t i = 0; i < spmm_buckets.size(); ++i) {
       spmm_buckets[i] += t.spmm_buckets[i];
     }
-    table.add_row({"spmm", to_string(prec), bench::fmt(t.simulate_s * 1e3, 2),
-                   bench::fmt(t.fragment_s * 1e3, 2),
-                   bench::fmt(t.panel_s * 1e3, 2),
-                   bench::fmt(t.simulate_s / t.panel_s, 2) + "x",
-                   bench::fmt(t.fragment_s / t.panel_s, 2) + "x",
-                   bench::fmt(t.plan_build_s * 1e3, 3)});
+    add_row(table, "spmm", prec, t,
+            core::to_string(
+                static_cast<core::PanelKernelId>(dominant(t.spmm_buckets))));
   }
 
   const PrecisionPair sddmm_pairs[] = {precision::L8R8, precision::L4R4,
@@ -268,13 +358,9 @@ bool comparison_table(bool smoke) {
     for (std::size_t i = 0; i < sddmm_buckets.size(); ++i) {
       sddmm_buckets[i] += t.sddmm_buckets[i];
     }
-    table.add_row({"sddmm", to_string(prec),
-                   bench::fmt(t.simulate_s * 1e3, 2),
-                   bench::fmt(t.fragment_s * 1e3, 2),
-                   bench::fmt(t.panel_s * 1e3, 2),
-                   bench::fmt(t.simulate_s / t.panel_s, 2) + "x",
-                   bench::fmt(t.fragment_s / t.panel_s, 2) + "x",
-                   bench::fmt(t.plan_build_s * 1e3, 3)});
+    add_row(table, "sddmm", prec, t,
+            core::to_string(
+                static_cast<core::SddmmKernelId>(dominant(t.sddmm_buckets))));
   }
   table.print();
 
@@ -292,10 +378,19 @@ bool comparison_table(bool smoke) {
                 core::to_string(static_cast<core::SddmmKernelId>(i)),
                 static_cast<unsigned long long>(sddmm_buckets[i]));
   }
-  std::printf("\n");
+  std::printf("\npanel GOPS per dominant bucket:");
+  for (const auto& [bucket, ops_s] : g_summary.bucket_ops_seconds) {
+    std::printf(" %s=%.2f", bucket.c_str(), ops_s.first / ops_s.second / 1e9);
+  }
+  std::printf("\nmax cv over shapes: simulate %.1f%%, fragment %.1f%%, "
+              "panel %.1f%%\n",
+              100 * g_summary.max_cv_simulate,
+              100 * g_summary.max_cv_fragment, 100 * g_summary.max_cv_panel);
 
   const double vs_sim = sim_total / panel_total;
   const double vs_frag = frag_total / panel_total;
+  g_summary.vs_simulate = vs_sim;
+  g_summary.vs_fragment = vs_frag;
 
   const bench::Baselines bars = bench::load_baselines(
       MAGICUBE_BENCH_BASELINE_DIR, "plan_vs_simulate.json");
@@ -438,6 +533,25 @@ void BM_SddmmPanelReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_SddmmPanelReplay)->Unit(benchmark::kMillisecond);
 
+// The comparison table's aggregates as one JSON entry: the gated speedups,
+// the worst per-engine round-to-round CV, per-bucket panel GOPS, and the
+// dispatched panel-kernel flavor (as a context string).
+void BM_ReplayComparison(benchmark::State& state) {
+  for (auto _ : state) {
+    double vs_simulate = g_summary.vs_simulate;
+    benchmark::DoNotOptimize(vs_simulate);
+  }
+  state.counters["spmm_panel_vs_simulate"] = g_summary.vs_simulate;
+  state.counters["spmm_panel_vs_fragment"] = g_summary.vs_fragment;
+  state.counters["cv_max_simulate"] = g_summary.max_cv_simulate;
+  state.counters["cv_max_fragment"] = g_summary.max_cv_fragment;
+  state.counters["cv_max_panel"] = g_summary.max_cv_panel;
+  for (const auto& [bucket, ops_s] : g_summary.bucket_ops_seconds) {
+    state.counters["gops_" + bucket] = ops_s.first / ops_s.second / 1e9;
+  }
+}
+BENCHMARK(BM_ReplayComparison)->Iterations(1);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -467,6 +581,7 @@ int main(int argc, char** argv) {
   }
   int bench_argc = static_cast<int>(fwd.size());
   benchmark::Initialize(&bench_argc, fwd.data());
+  benchmark::AddCustomContext("panel_isa", simt::panel_isa_name());
   benchmark::RunSpecifiedBenchmarks();
   return gate_passed ? 0 : 1;
 }

@@ -67,11 +67,12 @@ void set_default_exec_mode(ExecMode m);
 
 /// Which replay implementation ExecMode::fast runs.
 ///
-///   panel    — block-panel engine: operand plane groups are decoded once
-///              per stride tile into contiguous thread-local panel arenas
-///              and multiplied with the vectorizable simt::mma_panel /
-///              simt::dot_wrap micro-kernels, one invocation covering all
-///              adjacent 8-column mma tiles of a block. The default.
+///   panel    — block-panel engine: operand plane groups are decoded or
+///              packed once per stride tile into contiguous thread-local
+///              panel arenas and multiplied with the simt panel
+///              micro-kernels (simt::mma_panel_n64 / simt::mma_panel /
+///              simt::dot_packed), one invocation covering all adjacent
+///              8-column mma tiles of a block. The default.
 ///   fragment — the PR-3 per-fragment replay (lane-schedule word gathers,
 ///              register transpose, one scalar mma_decoded per 8x8 tile).
 ///              Kept as the in-tree comparison point and second reference.
@@ -99,7 +100,7 @@ enum class PanelKernelId : std::uint8_t {
   generic = 0,  // runtime-width mma_panel (bsn != 64)
   fixed64 = 1,  // compile-time 64-wide panels, full stacked plane groups
   stacked = 2,  // 64-wide with a partial last stacked group (row-limited)
-  fused = 3,    // single group x single RHS plane: fused decode+mma
+  fused = 3,    // single group x single RHS plane: fused pack+mma
   empty = 4,    // structurally empty row — no reduction steps at all
 };
 
@@ -126,7 +127,8 @@ static_assert(kSddmmKernelIds == simt::kSddmmBucketKinds,
 
 /// Whether ExecMode::fast panel replay dispatches the per-bucket
 /// specialized micro-kernels (the default) or forces the generic
-/// mma_panel/dot_wrap path for every row. Plans always *record* buckets —
+/// mma_panel path for every SpMM row and the generic SDDMM body for every
+/// block. Plans always *record* buckets —
 /// the toggle affects dispatch only, so flipping it replays the same plan
 /// bit-exactly (the plan-equivalence property tests lean on this).
 /// Initialized from MAGICUBE_PANEL_BUCKETS ("on" or "off") on first use;

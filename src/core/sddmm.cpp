@@ -303,11 +303,13 @@ void fast_block(std::size_t blk, const DenseOperand& a,
 // ---- Panel fast path: block-panel replay ----------------------------------
 //
 // A rows and B columns are both K contiguous elements in their plane
-// buffers (row-major A, column-major B), so the panel engine decodes the
-// block's V x K LHS panel once, decodes each sampled column once per RHS
-// plane, and reduces whole rows with the vectorized simt::dot_wrap — no
-// per-step staging, no fragment gathers. The mod-2^32 dot over the full
-// depth is bit-exact with the per-stride mma truncation chain it replaces.
+// buffers (row-major A, column-major B), so the panel engine packs the
+// block's V x K LHS panel once, packs each sampled column once per RHS
+// plane, and reduces whole rows with simt::dot_packed — no per-step
+// staging, no fragment gathers. The operands are packed in the layout of
+// the flavor simt dispatched to (32-bit lanes, or bytes for the VNNI dot).
+// The mod-2^32 dot over the full depth is bit-exact with the per-stride
+// mma truncation chain it replaces.
 //
 // Blocks are classified at plan-build time (detail::classify_sddmm_block)
 // and replay dispatches on the recorded SddmmKernelId: fused_single drops
@@ -317,8 +319,8 @@ void fast_block(std::size_t blk, const DenseOperand& a,
 // the generic body for every block — bit-exact either way.
 
 struct SddmmPanelScratch {
-  std::vector<std::int32_t> a_panel;  // [p][v][K] decoded LHS rows
-  std::vector<std::int32_t> b_col;    // [q][K] decoded RHS column
+  std::vector<std::int32_t> a_panel;  // [p][v] packed LHS rows
+  std::vector<std::int32_t> b_col;    // [q] packed RHS column
 };
 
 SddmmPanelScratch& sddmm_panel_scratch() {
@@ -343,21 +345,19 @@ void panel_block(std::size_t blk, const DenseOperand& a,
                                : SddmmKernelId::generic;
 
   SddmmPanelScratch& s = sddmm_panel_scratch();
-  s.a_panel.resize(static_cast<std::size_t>(g.p) * v * k);
-  s.b_col.resize(static_cast<std::size_t>(g.q) * k);
+  const std::size_t words = simt::dot_operand_words(k);
+  s.a_panel.resize(static_cast<std::size_t>(g.p) * v * words);
+  s.b_col.resize(static_cast<std::size_t>(g.q) * words);
+  auto a_row = [&](int pl, std::size_t row) {
+    return s.a_panel.data() + (static_cast<std::size_t>(pl) * v + row) * words;
+  };
 
   for (int pl = 0; pl < g.p; ++pl) {
     const auto& plane = a.planes[static_cast<std::size_t>(pl)];
     const std::uint8_t* base = plane.values.data() + r * v * row_bytes;
     for (std::size_t row = 0; row < v; ++row) {
-      std::int32_t* dst =
-          s.a_panel.data() + (static_cast<std::size_t>(pl) * v + row) * k;
-      const std::uint8_t* bytes = base + plan.a_panel_row_base[row];
-      if (int4) {
-        simt::decode_span_int4(bytes, k, plane.is_signed, dst);
-      } else {
-        simt::decode_span_int8(bytes, k, plane.is_signed, dst);
-      }
+      simt::pack_dot_operand(base + plan.a_panel_row_base[row], k, int4,
+                             plane.is_signed, a_row(pl, row));
     }
   }
 
@@ -370,15 +370,11 @@ void panel_block(std::size_t blk, const DenseOperand& a,
     const std::int64_t w = aplane.weight * bplane.weight;
     for (std::uint32_t slot = 0; slot < valid; ++slot) {
       const std::size_t vec = slot_base + slot;
-      const std::uint8_t* bytes = bplane.values.data() + plan.rhs_col_base[vec];
-      if (int4) {
-        simt::decode_span_int4(bytes, k, bplane.is_signed, s.b_col.data());
-      } else {
-        simt::decode_span_int8(bytes, k, bplane.is_signed, s.b_col.data());
-      }
+      simt::pack_dot_operand(bplane.values.data() + plan.rhs_col_base[vec], k,
+                             int4, bplane.is_signed, s.b_col.data());
       for (std::size_t row = 0; row < v; ++row) {
         const std::int32_t part =
-            simt::dot_wrap(s.a_panel.data() + row * k, s.b_col.data(), k, 0);
+            simt::dot_packed(a_row(0, row), s.b_col.data(), k);
         c_values[vec * v + row] = static_cast<std::int32_t>(w * part);
       }
     }
@@ -389,23 +385,19 @@ void panel_block(std::size_t blk, const DenseOperand& a,
     const std::size_t vec = slot_base + slot;
     for (int qq = 0; qq < g.q; ++qq) {
       const auto& plane = b.planes[static_cast<std::size_t>(qq)];
-      std::int32_t* dst = s.b_col.data() + static_cast<std::size_t>(qq) * k;
-      const std::uint8_t* bytes = plane.values.data() + plan.rhs_col_base[vec];
-      if (int4) {
-        simt::decode_span_int4(bytes, k, plane.is_signed, dst);
-      } else {
-        simt::decode_span_int8(bytes, k, plane.is_signed, dst);
-      }
+      simt::pack_dot_operand(plane.values.data() + plan.rhs_col_base[vec], k,
+                             int4, plane.is_signed,
+                             s.b_col.data() +
+                                 static_cast<std::size_t>(qq) * words);
     }
     for (std::size_t row = 0; row < v; ++row) {
       std::int64_t total = 0;
       for (int pl = 0; pl < g.p; ++pl) {
-        const std::int32_t* arow =
-            s.a_panel.data() + (static_cast<std::size_t>(pl) * v + row) * k;
         const std::int64_t wa = a.planes[static_cast<std::size_t>(pl)].weight;
         for (int qq = 0; qq < g.q; ++qq) {
-          const std::int32_t part = simt::dot_wrap(
-              arow, s.b_col.data() + static_cast<std::size_t>(qq) * k, k, 0);
+          const std::int32_t part = simt::dot_packed(
+              a_row(pl, row),
+              s.b_col.data() + static_cast<std::size_t>(qq) * words, k);
           total += wa * b.planes[static_cast<std::size_t>(qq)].weight * part;
         }
       }

@@ -561,18 +561,22 @@ void fast_block(std::size_t blk, const SparseOperand& a,
 // rows, so the per-row grid parallelizes exactly like the per-block one.
 //
 // Each row dispatches the replay kernel its plan-time bucket named
-// (SpmmPlan::row_kernel): fixed-width 64-column panels with per-group
-// active-row limits for the bsn==64 buckets, a fused decode+mma for the
-// dominant single-group/single-plane bucket (no B panel arena at all), the
-// runtime-width generic kernel otherwise. All buckets are bit-exact mod
-// 2^32 with the generic path; MAGICUBE_PANEL_BUCKETS=off forces generic.
+// (SpmmPlan::row_kernel). The bsn==64 buckets run on byte operands: each
+// step packs its B rows once per RHS plane (simt::pack_panel_b, in the
+// layout of the flavor simt dispatched to) and multiplies them with
+// per-group active-row limits; the dominant single-group/single-plane
+// bucket fuses pack and multiply (no panel arena, no column sums). The
+// runtime-width generic kernel decodes to 32-bit panels. All buckets are
+// bit-exact mod 2^32 with the generic path; MAGICUBE_PANEL_BUCKETS=off
+// forces generic.
 
 struct SpmmPanelScratch {
   std::vector<std::uint32_t> acc;        // [group][q][8 rows][bsn] wrapping
   std::vector<std::int64_t> colsum;      // [q][bsn] bias-correction sums
-  std::vector<std::int64_t> total;       // [bsn] epilogue combine
-  std::vector<simt::DecodedFrag> a_dec;  // [step][plane group] (whole row)
-  std::vector<std::int32_t> b_panel;     // [q][stride][bsn]
+  std::vector<simt::DecodedFrag> a_dec;  // [step][plane group] (generic)
+  std::vector<simt::PanelA> a_panel;     // [step][plane group] (buckets)
+  std::vector<simt::PanelB> b_packed;    // [q] one step's B rows (buckets)
+  std::vector<std::int32_t> b_panel;     // [q][stride][bsn] (generic)
 };
 
 SpmmPanelScratch& spmm_panel_scratch() {
@@ -580,19 +584,20 @@ SpmmPanelScratch& spmm_panel_scratch() {
   return scratch;
 }
 
-/// Weighted plane combine + writeback over the panel accumulators — the
-/// same epilogue math as spmm_value_epilogue, indexed by natural columns
-/// instead of fragment lanes.
+/// Weighted plane combine over the panel accumulators, folded straight
+/// into the zero-initialized C rows — the same epilogue math as
+/// spmm_value_epilogue, indexed by natural columns instead of fragment
+/// lanes, and mod 2^32 throughout (C is int32).
 void spmm_panel_epilogue(const Geom& g, const SparseOperand& a,
                          const DenseOperand& b, const std::uint32_t* acc,
-                         const std::int64_t* colsum, std::int64_t* total,
-                         std::size_t r, std::size_t cb,
-                         Matrix<std::int32_t>& c) {
+                         const std::int64_t* colsum, std::size_t r,
+                         std::size_t cb, Matrix<std::int32_t>& c) {
   const std::size_t v = static_cast<std::size_t>(g.v);
   const std::size_t n = g.bsn;
   const std::int64_t bias = std::int64_t{1} << (g.chunk - 1);
   for (int rb = 0; rb < g.v; ++rb) {
-    std::fill_n(total, n, std::int64_t{0});
+    std::int32_t* out =
+        c.row(r * v + static_cast<std::size_t>(rb)) + cb * g.bsn;
     for (int grp = 0; grp < g.g; ++grp) {
       for (int lp = 0; lp < g.group_size(grp); ++lp) {
         const int pl = grp * g.s + lp;
@@ -608,18 +613,13 @@ void spmm_panel_epilogue(const Geom& g, const SparseOperand& a,
           if (top) {
             // Undo the excess encoding: C_top = C_raw - 2^(b-1)*colsum.
             simt::epilogue_combine_biased(
-                total, arow, colsum + static_cast<std::size_t>(qq) * n, bias,
-                w, n);
+                out, arow, colsum + static_cast<std::size_t>(qq) * n, bias, w,
+                n);
           } else {
-            simt::epilogue_combine(total, arow, w, n);
+            simt::epilogue_combine(out, arow, w, n);
           }
         }
       }
-    }
-    const std::size_t out_row = r * v + static_cast<std::size_t>(rb);
-    const std::size_t out_col0 = cb * g.bsn;
-    for (std::size_t col = 0; col < n; ++col) {
-      c(out_row, out_col0 + col) = static_cast<std::int32_t>(total[col]);
     }
   }
 }
@@ -641,41 +641,71 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
   // A structurally empty row contributes nothing: C was zero-initialized,
   // and replaying zero steps through the generic path writes only zeros.
   if (row_id == PanelKernelId::empty || steps == 0) return;
+  const bool generic = row_id == PanelKernelId::generic;
 
   SpmmPanelScratch& s = spmm_panel_scratch();
-  s.total.resize(n);
-  s.a_dec.resize(steps * static_cast<std::size_t>(g.g));
-  if (row_id != PanelKernelId::fused) {
+  const std::size_t a_count = steps * static_cast<std::size_t>(g.g);
+  if (generic) {
+    s.a_dec.resize(a_count);
     s.b_panel.resize(static_cast<std::size_t>(g.q) * stride * n);
+  } else {
+    s.a_panel.resize(a_count);
+    s.b_packed.resize(static_cast<std::size_t>(g.q));
   }
 
   const std::size_t tile_row_bytes = stride * chunk / 8;
+
+  // Active panel rows of each plane group form a prefix (rr = lp * V + rb
+  // with lp < group_size), so the bucket kernels load and multiply only
+  // those, not the zero rows the generic kernel pays for.
+  std::array<int, 8> active_rows{};
+  for (int grp = 0; grp < g.g; ++grp) {
+    active_rows[static_cast<std::size_t>(grp)] =
+        std::min(8, g.group_size(grp) * g.v);
+  }
 
   // Decode-once A arena: every step's plane-group panels decode one time
   // for the whole row (plane stacking baked into the schedule); all
   // col_blocks column tiles replay from the arena. The per-(row, cb) grid
   // re-decoded these identical bytes once per column block.
+  unsigned a_signs = 0;  // A byte domains the row's groups multiply B in
+  for (int grp = 0; grp < g.g; ++grp) {
+    a_signs |= lhs_group_signed(g, a, grp) ? simt::kPanelASigned
+                                           : simt::kPanelAUnsigned;
+  }
   for (std::size_t st = 0; st < steps; ++st) {
     const std::size_t lhs_byte =
         (sr.first_ptr[r] + st * stride) * v * chunk / 8;
     for (int grp = 0; grp < g.g; ++grp) {
-      simt::DecodedFrag& dec =
-          s.a_dec[st * static_cast<std::size_t>(g.g) +
-                  static_cast<std::size_t>(grp)];
-      dec.k = static_cast<int>(stride);
+      const std::size_t at = st * static_cast<std::size_t>(g.g) +
+                             static_cast<std::size_t>(grp);
       const bool grp_signed = lhs_group_signed(g, a, grp);
       const auto& rows = plan.a_panel_src[static_cast<std::size_t>(grp)];
-      for (int rr = 0; rr < 8; ++rr) {
+      simt::DecodedFrag* dec = generic ? &s.a_dec[at] : nullptr;
+      simt::PanelA* pa = generic ? nullptr : &s.a_panel[at];
+      if (generic) {
+        dec->k = static_cast<int>(stride);
+      } else {
+        pa->k = static_cast<int>(stride);
+        pa->is_signed = grp_signed;
+      }
+      const int panel_rows =
+          generic ? 8 : active_rows[static_cast<std::size_t>(grp)];
+      for (int rr = 0; rr < panel_rows; ++rr) {
         const SpmmPlan::PanelRow src = rows[static_cast<std::size_t>(rr)];
-        std::int32_t* dst = dec.v[static_cast<std::size_t>(rr)].data();
-        if (src.row < 0) {
-          std::fill_n(dst, stride, 0);
+        const std::uint8_t* bytes = nullptr;  // an empty panel row
+        if (src.row >= 0) {
+          bytes = a.planes[static_cast<std::size_t>(src.plane)].values.data() +
+                  lhs_byte + static_cast<std::size_t>(src.row) * tile_row_bytes;
+        }
+        if (!generic) {
+          simt::load_panel_a_row(bytes, int4, src.biased, rr, *pa);
           continue;
         }
-        const std::uint8_t* bytes =
-            a.planes[static_cast<std::size_t>(src.plane)].values.data() +
-            lhs_byte + static_cast<std::size_t>(src.row) * tile_row_bytes;
-        if (int4) {
+        std::int32_t* dst = dec->v[static_cast<std::size_t>(rr)].data();
+        if (bytes == nullptr) {
+          std::fill_n(dst, stride, 0);
+        } else if (int4) {
           if (src.biased) {
             simt::decode_span_int4_biased(bytes, stride, dst);
           } else {
@@ -690,15 +720,6 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
     }
   }
 
-  // Active panel rows of each plane group form a prefix (rr = lp * V + rb
-  // with lp < group_size), so the fixed-width kernels stop there instead of
-  // multiplying the zero rows the generic kernel pays for.
-  std::array<int, 8> active_rows{};
-  for (int grp = 0; grp < g.g; ++grp) {
-    active_rows[static_cast<std::size_t>(grp)] =
-        std::min(8, g.group_size(grp) * g.v);
-  }
-
   for (std::size_t cb = 0; cb < g.col_blocks; ++cb) {
     const std::size_t cb_byte = cb * n * chunk / 8;
     s.acc.assign(static_cast<std::size_t>(g.g * g.q) * 8 * n, 0);
@@ -707,80 +728,79 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
 
     for (std::size_t st = 0; st < steps; ++st) {
       const std::size_t slot_base = sr.first_ptr[r] + st * stride;
-      const simt::DecodedFrag* a_dec =
-          s.a_dec.data() + st * static_cast<std::size_t>(g.g);
+      const std::size_t a_at = st * static_cast<std::size_t>(g.g);
 
-      if (row_id == PanelKernelId::fused) {
-        // Single group x single RHS plane, no bias correction: decode each
-        // valid B row straight inside the kernel — no panel arena, no
-        // column sums, padded slots skipped instead of zero-filled.
-        const std::uint8_t* b_bytes = b.planes[0].values.data();
+      for (int qq = 0; qq < g.q; ++qq) {
+        // The step's B rows of this RHS plane, gathered by the plan's
+        // resolved byte bases (nullptr for a padded slot: a zero row,
+        // which contributes nothing to the products or the column sums).
+        const auto& bplane = b.planes[static_cast<std::size_t>(qq)];
         std::array<const std::uint8_t*, 32> rows{};
         for (std::size_t k = 0; k < stride; ++k) {
           const std::size_t base =
               plan.rhs_row_base[slot_base + plan.panel_k_slot[k]];
-          rows[k] = base == kNoRhsRow ? nullptr : b_bytes + base + cb_byte;
+          rows[k] = base == kNoRhsRow
+                        ? nullptr
+                        : bplane.values.data() + base + cb_byte;
         }
-        simt::fused_decode_mma_n64(s.acc.data(), a_dec[0], rows.data(),
-                                   static_cast<int>(stride), int4,
-                                   b.planes[0].is_signed);
-        continue;
-      }
-
-      // Decode the B panels: stride x bsn per RHS plane, rows gathered by
-      // the plan's resolved byte bases, columns contiguous. Padded slots
-      // are zero rows (and thus contribute nothing to the column sums
-      // either).
-      for (int qq = 0; qq < g.q; ++qq) {
-        const auto& bplane = b.planes[static_cast<std::size_t>(qq)];
-        const std::uint8_t* b_bytes = bplane.values.data();
-        std::int32_t* panel =
-            s.b_panel.data() + static_cast<std::size_t>(qq) * stride * n;
-        for (std::size_t k = 0; k < stride; ++k) {
-          std::int32_t* row = panel + k * n;
-          const std::size_t base =
-              plan.rhs_row_base[slot_base + plan.panel_k_slot[k]];
-          if (base == kNoRhsRow) {
-            std::fill_n(row, n, 0);
-          } else if (int4) {
-            simt::decode_span_int4(b_bytes + base + cb_byte, n,
-                                   bplane.is_signed, row);
-          } else {
-            simt::decode_span_int8(b_bytes + base + cb_byte, n,
-                                   bplane.is_signed, row);
-          }
+        if (row_id == PanelKernelId::fused) {
+          // Single group x single RHS plane, no bias correction.
+          simt::fused_decode_mma_n64(s.acc.data(), s.a_panel[a_at],
+                                     rows.data(), static_cast<int>(stride),
+                                     int4, bplane.is_signed, active_rows[0]);
+          continue;
         }
-        if (g.bias_correct) {
-          std::int64_t* cs =
-              s.colsum.data() + static_cast<std::size_t>(qq) * n;
+        std::int64_t* cs = g.bias_correct
+                               ? s.colsum.data() +
+                                     static_cast<std::size_t>(qq) * n
+                               : nullptr;
+        if (generic) {
+          std::int32_t* panel =
+              s.b_panel.data() + static_cast<std::size_t>(qq) * stride * n;
           for (std::size_t k = 0; k < stride; ++k) {
-            simt::colsum_update(panel + k * n, cs, n);
+            std::int32_t* row = panel + k * n;
+            if (rows[k] == nullptr) {
+              std::fill_n(row, n, 0);
+            } else if (int4) {
+              simt::decode_span_int4(rows[k], n, bplane.is_signed, row);
+            } else {
+              simt::decode_span_int8(rows[k], n, bplane.is_signed, row);
+            }
+            if (cs != nullptr) simt::colsum_update(row, cs, n);
           }
+        } else {
+          simt::PanelB& packed = s.b_packed[static_cast<std::size_t>(qq)];
+          simt::pack_panel_b(rows.data(), static_cast<int>(stride), int4,
+                             bplane.is_signed, a_signs, packed);
+          if (cs != nullptr) simt::panel_colsum(packed, cs);
         }
       }
+      if (row_id == PanelKernelId::fused) continue;
 
       // MAC: one panel invocation per (group, RHS plane) replaces the
-      // step's 2 warps x 4 scalar mma_decoded issues. The fixed-width
-      // buckets dispatch the compile-time-64 kernel with per-group row
-      // limits; generic keeps the runtime-width path.
+      // step's 2 warps x 4 scalar mma_decoded issues. The bucket kernels
+      // run with per-group row limits; generic keeps the runtime-width
+      // path over all 8 rows.
       for (int grp = 0; grp < g.g; ++grp) {
         for (int qq = 0; qq < g.q; ++qq) {
           std::uint32_t* acc =
               s.acc.data() + static_cast<std::size_t>(grp * g.q + qq) * 8 * n;
-          const std::int32_t* panel =
-              s.b_panel.data() + static_cast<std::size_t>(qq) * stride * n;
-          if (row_id == PanelKernelId::generic) {
-            simt::mma_panel(acc, a_dec[grp], panel, static_cast<int>(n));
+          if (generic) {
+            simt::mma_panel(
+                acc, s.a_dec[a_at + static_cast<std::size_t>(grp)],
+                s.b_panel.data() + static_cast<std::size_t>(qq) * stride * n,
+                static_cast<int>(n));
           } else {
-            simt::mma_panel_n64(acc, a_dec[grp], panel,
-                                active_rows[static_cast<std::size_t>(grp)]);
+            simt::mma_panel_n64(
+                acc, s.a_panel[a_at + static_cast<std::size_t>(grp)],
+                s.b_packed[static_cast<std::size_t>(qq)],
+                active_rows[static_cast<std::size_t>(grp)]);
           }
         }
       }
     }
 
-    spmm_panel_epilogue(g, a, b, s.acc.data(), s.colsum.data(),
-                        s.total.data(), r, cb, c);
+    spmm_panel_epilogue(g, a, b, s.acc.data(), s.colsum.data(), r, cb, c);
   }
 }
 

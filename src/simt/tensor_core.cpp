@@ -1,5 +1,9 @@
 #include "simt/tensor_core.hpp"
 
+#include <vector>
+
+#include "simt/panel_flavors.hpp"
+
 namespace magicube::simt {
 
 namespace {
@@ -122,10 +126,12 @@ void mma_decoded(AccumFrag& acc, const DecodedFrag& a, const DecodedFrag& b) {
 // tensor_core_avx2.cpp under -mavx2, tensor_core_avx512.cpp under
 // -mavx512{f,bw,dq,vl} (both x86-64 only; SSE2 has no 32-bit vector
 // multiply, which the MAC kernel lives on), and tensor_core_neon.cpp on
-// AArch64 where Advanced SIMD is architecturally guaranteed. Dispatch
-// checks __builtin_cpu_supports per call, widest ISA first
-// (avx512 -> avx2 -> base); on AArch64 the neon instantiation is
-// unconditional, no CPUID probe needed.
+// AArch64 where Advanced SIMD is architecturally guaranteed.
+// tensor_core_avx512vnni.cpp adds the byte-operand kernels on vpdpbusd and
+// borrows the rest of its flavor from the AVX-512 instantiation. Every
+// flavor is a row of the table below; dispatch picks the first row the
+// host supports, once per process (widest first: avx512vnni -> avx512 ->
+// avx2 -> base on x86-64, neon -> base on AArch64).
 namespace panel_detail {
 
 // Forward declarations shared by every wide-ISA namespace (each TU defines
@@ -133,16 +139,12 @@ namespace panel_detail {
 #define MAGICUBE_PANEL_DECLS                                                  \
   void mma_panel(std::uint32_t* acc, const DecodedFrag& a,                    \
                  const std::int32_t* b, int n);                               \
-  void mma_panel_n64(std::uint32_t* acc, const DecodedFrag& a,                \
-                     const std::int32_t* b, int rows);                        \
-  void fused_decode_mma_n64(std::uint32_t* acc, const DecodedFrag& a,         \
-                            const std::uint8_t* const* rows, int k_count,     \
-                            bool int4, bool b_signed);                        \
+  MAGICUBE_PANEL_BYTE_DECLS                                                   \
   void colsum_update(const std::int32_t* row, std::int64_t* colsum,           \
                      std::size_t n);                                          \
-  void epilogue_combine(std::int64_t* total, const std::uint32_t* acc_row,    \
+  void epilogue_combine(std::int32_t* out, const std::uint32_t* acc_row,      \
                         std::int64_t weight, std::size_t n);                  \
-  void epilogue_combine_biased(std::int64_t* total,                           \
+  void epilogue_combine_biased(std::int32_t* out,                             \
                                const std::uint32_t* acc_row,                  \
                                const std::int64_t* colsum, std::int64_t bias, \
                                std::int64_t weight, std::size_t n);           \
@@ -155,7 +157,26 @@ namespace panel_detail {
   void decode_span_int8_biased(const std::uint8_t* src, std::size_t count,    \
                                std::int32_t* dst);                            \
   void decode_span_int4_biased(const std::uint8_t* src, std::size_t count,    \
-                               std::int32_t* dst);
+                               std::int32_t* dst);                            \
+  void load_panel_a_row(const std::uint8_t* src, bool int4, bool biased,      \
+                        int row, PanelA& out);
+
+// The byte-operand kernels, the part of a flavor that owns the PanelB and
+// dot-operand layouts.
+#define MAGICUBE_PANEL_BYTE_DECLS                                             \
+  void pack_panel_b(const std::uint8_t* const* rows, int k_count, bool int4,  \
+                    bool b_signed, unsigned a_signs, PanelB& out);            \
+  void mma_panel_n64(std::uint32_t* acc, const PanelA& a, const PanelB& b,    \
+                     int rows);                                               \
+  void panel_colsum(const PanelB& b, std::int64_t* colsum);                   \
+  void fused_decode_mma_n64(std::uint32_t* acc, const PanelA& a,              \
+                            const std::uint8_t* const* rows, int k_count,     \
+                            bool int4, bool b_signed, int active_rows);       \
+  std::size_t dot_operand_words(std::size_t k);                               \
+  void pack_dot_operand(const std::uint8_t* src, std::size_t k, bool int4,    \
+                        bool is_signed, std::int32_t* dst);                   \
+  std::int32_t dot_packed(const std::int32_t* a, const std::int32_t* b,       \
+                          std::size_t k);
 
 namespace base {
 #define MAGICUBE_PANEL_VEC MAGICUBE_SIMD_ACTIVE
@@ -166,7 +187,7 @@ namespace base {
 }  // namespace base
 
 #if MAGICUBE_SIMD_ACTIVE && defined(__x86_64__)
-#define MAGICUBE_PANEL_AVX2 1
+#define MAGICUBE_PANEL_X86 1
 namespace avx2 {
 // Defined in tensor_core_avx2.cpp (compiled with -mavx2).
 MAGICUBE_PANEL_DECLS
@@ -175,24 +196,22 @@ namespace avx512 {
 // Defined in tensor_core_avx512.cpp (compiled with -mavx512{f,bw,dq,vl}).
 MAGICUBE_PANEL_DECLS
 }  // namespace avx512
+namespace avx512vnni {
+// Defined in tensor_core_avx512vnni.cpp (-mavx512{f,bw,dq,vl,vnni}).
+MAGICUBE_PANEL_BYTE_DECLS
+}  // namespace avx512vnni
 
-inline bool use_avx2() {
-  static const bool supported = __builtin_cpu_supports("avx2") != 0;
-  return supported;
-}
-
-inline bool use_avx512() {
+bool has_avx512() {
   // The 512-bit instantiation leans on F (64-byte vectors), BW/DQ (byte and
   // dword lane ops in the decode paths) and VL (mixed-width epilogues), so
   // all four must be present — Skylake-SP and later server parts.
-  static const bool supported = __builtin_cpu_supports("avx512f") != 0 &&
-                                __builtin_cpu_supports("avx512bw") != 0 &&
-                                __builtin_cpu_supports("avx512dq") != 0 &&
-                                __builtin_cpu_supports("avx512vl") != 0;
-  return supported;
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512bw") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
 }
 #else
-#define MAGICUBE_PANEL_AVX2 0
+#define MAGICUBE_PANEL_X86 0
 #endif
 
 #if MAGICUBE_SIMD_ACTIVE && defined(__aarch64__)
@@ -207,89 +226,165 @@ MAGICUBE_PANEL_DECLS
 #endif
 
 #undef MAGICUBE_PANEL_DECLS
+#undef MAGICUBE_PANEL_BYTE_DECLS
+
+// One table row; `bytes` names the namespace of the byte-operand kernels,
+// `rest` the namespace of everything else.
+#define MAGICUBE_PANEL_FLAVOR(label, host_ok, rest, bytes)                   \
+  PanelFlavor {                                                              \
+    label, host_ok, rest::mma_panel, bytes::pack_panel_b,                    \
+        bytes::mma_panel_n64, bytes::panel_colsum,                           \
+        bytes::fused_decode_mma_n64, bytes::dot_operand_words,               \
+        bytes::pack_dot_operand, bytes::dot_packed, rest::colsum_update,     \
+        rest::epilogue_combine, rest::epilogue_combine_biased,               \
+        rest::dot_wrap, rest::decode_span_int8, rest::decode_span_int4,      \
+        rest::decode_span_int8_biased, rest::decode_span_int4_biased,        \
+        rest::load_panel_a_row                                               \
+  }
+
+std::vector<PanelFlavor> make_flavors() {
+  std::vector<PanelFlavor> flavors;
+#if MAGICUBE_PANEL_X86
+  const bool avx512 = has_avx512();
+  flavors.push_back(MAGICUBE_PANEL_FLAVOR(
+      "avx512vnni", avx512 && __builtin_cpu_supports("avx512vnni") != 0,
+      avx512, avx512vnni));
+  flavors.push_back(MAGICUBE_PANEL_FLAVOR("avx512", avx512, avx512, avx512));
+  flavors.push_back(MAGICUBE_PANEL_FLAVOR(
+      "avx2", __builtin_cpu_supports("avx2") != 0, avx2, avx2));
+#endif
+#if MAGICUBE_PANEL_NEON
+  flavors.push_back(MAGICUBE_PANEL_FLAVOR("neon", true, neon, neon));
+#endif
+  flavors.push_back(MAGICUBE_PANEL_FLAVOR("base", true, base, base));
+  return flavors;
+}
+
+#undef MAGICUBE_PANEL_FLAVOR
+
+const std::vector<PanelFlavor>& flavor_table() {
+  static const std::vector<PanelFlavor> table = make_flavors();
+  return table;
+}
+
+/// The dispatched flavor: the widest one the host supports. Every flavor
+/// is bit-exact mod 2^32 with the scalar fallback, so the choice is purely
+/// a throughput decision.
+const PanelFlavor& active() {
+  static const PanelFlavor& chosen = [] () -> const PanelFlavor& {
+    for (const PanelFlavor& f : flavor_table()) {
+      if (f.supported) return f;
+    }
+    return flavor_table().back();
+  }();
+  return chosen;
+}
 
 }  // namespace panel_detail
 
-// Per-call dispatch: widest available ISA first. Every instantiation is
-// bit-exact mod 2^32 with the scalar fallback, so the choice is purely a
-// throughput decision.
-#if MAGICUBE_PANEL_AVX2
-#define MAGICUBE_PANEL_DISPATCH(call)                                  \
-  do {                                                                 \
-    if (panel_detail::use_avx512()) return panel_detail::avx512::call; \
-    if (panel_detail::use_avx2()) return panel_detail::avx2::call;     \
-    return panel_detail::base::call;                                   \
-  } while (0)
-#elif MAGICUBE_PANEL_NEON
-#define MAGICUBE_PANEL_DISPATCH(call) return panel_detail::neon::call
-#else
-#define MAGICUBE_PANEL_DISPATCH(call) return panel_detail::base::call
-#endif
+std::span<const PanelFlavor> panel_flavors() {
+  return panel_detail::flavor_table();
+}
+
+const char* panel_isa_name() { return panel_detail::active().name; }
 
 bool simd_enabled() { return MAGICUBE_SIMD_ACTIVE != 0; }
+
+void load_panel_a_row(const std::uint8_t* src, bool int4, bool biased,
+                      int row, PanelA& out) {
+  MAGICUBE_DCHECK(row >= 0 && row < 8 && out.k % 16 == 0 && out.k <= 32);
+  panel_detail::active().load_panel_a_row(src, int4, biased, row, out);
+}
 
 void mma_panel(std::uint32_t* acc, const DecodedFrag& a,
                const std::int32_t* b, int n) {
   MAGICUBE_DCHECK(n > 0 && n % 8 == 0);
-  MAGICUBE_PANEL_DISPATCH(mma_panel(acc, a, b, n));
+  panel_detail::active().mma_panel(acc, a, b, n);
 }
 
-void mma_panel_n64(std::uint32_t* acc, const DecodedFrag& a,
-                   const std::int32_t* b, int rows) {
+void pack_panel_b(const std::uint8_t* const* rows, int k_count, bool int4,
+                  bool b_signed, unsigned a_signs, PanelB& out) {
+  MAGICUBE_DCHECK(k_count >= 0 && k_count <= 32 && k_count % 4 == 0);
+  panel_detail::active().pack_panel_b(rows, k_count, int4, b_signed, a_signs,
+                                      out);
+}
+
+void mma_panel_n64(std::uint32_t* acc, const PanelA& a, const PanelB& b,
+                   int rows) {
   MAGICUBE_DCHECK(rows > 0 && rows <= 8);
-  MAGICUBE_PANEL_DISPATCH(mma_panel_n64(acc, a, b, rows));
+  panel_detail::active().mma_panel_n64(acc, a, b, rows);
 }
 
-void fused_decode_mma_n64(std::uint32_t* acc, const DecodedFrag& a,
+void panel_colsum(const PanelB& b, std::int64_t* colsum) {
+  panel_detail::active().panel_colsum(b, colsum);
+}
+
+void fused_decode_mma_n64(std::uint32_t* acc, const PanelA& a,
                           const std::uint8_t* const* rows, int k_count,
-                          bool int4, bool b_signed) {
-  MAGICUBE_DCHECK(k_count >= 0 && k_count <= 32);
-  MAGICUBE_PANEL_DISPATCH(
-      fused_decode_mma_n64(acc, a, rows, k_count, int4, b_signed));
+                          bool int4, bool b_signed, int active_rows) {
+  MAGICUBE_DCHECK(k_count == a.k && k_count % 4 == 0 && k_count <= 32);
+  MAGICUBE_DCHECK(active_rows > 0 && active_rows <= 8);
+  panel_detail::active().fused_decode_mma_n64(acc, a, rows, k_count, int4,
+                                              b_signed, active_rows);
+}
+
+std::size_t dot_operand_words(std::size_t k) {
+  return panel_detail::active().dot_operand_words(k);
+}
+
+void pack_dot_operand(const std::uint8_t* src, std::size_t k, bool int4,
+                      bool is_signed, std::int32_t* dst) {
+  MAGICUBE_DCHECK(!int4 || k % 2 == 0);
+  panel_detail::active().pack_dot_operand(src, k, int4, is_signed, dst);
+}
+
+std::int32_t dot_packed(const std::int32_t* a, const std::int32_t* b,
+                        std::size_t k) {
+  return panel_detail::active().dot_packed(a, b, k);
 }
 
 void colsum_update(const std::int32_t* row, std::int64_t* colsum,
                    std::size_t n) {
-  MAGICUBE_PANEL_DISPATCH(colsum_update(row, colsum, n));
+  panel_detail::active().colsum_update(row, colsum, n);
 }
 
-void epilogue_combine(std::int64_t* total, const std::uint32_t* acc_row,
+void epilogue_combine(std::int32_t* out, const std::uint32_t* acc_row,
                       std::int64_t weight, std::size_t n) {
-  MAGICUBE_PANEL_DISPATCH(epilogue_combine(total, acc_row, weight, n));
+  panel_detail::active().epilogue_combine(out, acc_row, weight, n);
 }
 
-void epilogue_combine_biased(std::int64_t* total, const std::uint32_t* acc_row,
+void epilogue_combine_biased(std::int32_t* out, const std::uint32_t* acc_row,
                              const std::int64_t* colsum, std::int64_t bias,
                              std::int64_t weight, std::size_t n) {
-  MAGICUBE_PANEL_DISPATCH(
-      epilogue_combine_biased(total, acc_row, colsum, bias, weight, n));
+  panel_detail::active().epilogue_combine_biased(out, acc_row, colsum, bias,
+                                                 weight, n);
 }
 
 std::int32_t dot_wrap(const std::int32_t* a, const std::int32_t* b,
                       std::size_t k, std::int32_t acc) {
-  MAGICUBE_PANEL_DISPATCH(dot_wrap(a, b, k, acc));
+  return panel_detail::active().dot_wrap(a, b, k, acc);
 }
 
 void decode_span_int8(const std::uint8_t* src, std::size_t count,
                       bool is_signed, std::int32_t* dst) {
-  MAGICUBE_PANEL_DISPATCH(decode_span_int8(src, count, is_signed, dst));
+  panel_detail::active().decode_span_int8(src, count, is_signed, dst);
 }
 
 void decode_span_int4(const std::uint8_t* src, std::size_t count,
                       bool is_signed, std::int32_t* dst) {
   MAGICUBE_DCHECK(count % 2 == 0);
-  MAGICUBE_PANEL_DISPATCH(decode_span_int4(src, count, is_signed, dst));
+  panel_detail::active().decode_span_int4(src, count, is_signed, dst);
 }
 
 void decode_span_int8_biased(const std::uint8_t* src, std::size_t count,
                              std::int32_t* dst) {
-  MAGICUBE_PANEL_DISPATCH(decode_span_int8_biased(src, count, dst));
+  panel_detail::active().decode_span_int8_biased(src, count, dst);
 }
 
 void decode_span_int4_biased(const std::uint8_t* src, std::size_t count,
                              std::int32_t* dst) {
   MAGICUBE_DCHECK(count % 2 == 0);
-  MAGICUBE_PANEL_DISPATCH(decode_span_int4_biased(src, count, dst));
+  panel_detail::active().decode_span_int4_biased(src, count, dst);
 }
 
 WarpReg make_a_frag_int8(const Matrix<std::uint8_t>& a) {

@@ -20,6 +20,7 @@
 // precision emulation of §IV-D depends on this.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/matrix.hpp"
@@ -103,37 +104,115 @@ void mma_panel(std::uint32_t* acc, const DecodedFrag& a,
 // engines call these instead of the generic mma_panel when the bucket's
 // shape guarantees hold. All are bit-exact mod 2^32 with mma_panel.
 
-/// Fixed-width variant of mma_panel for the bsn == 64 buckets: n is a
-/// compile-time 64 and only the first `rows` panel rows (1..8) are updated.
-/// The active rows of a partial stacked plane group always form a prefix,
-/// so the row limit is the entire tail handling.
-void mma_panel_n64(std::uint32_t* acc, const DecodedFrag& a,
-                   const std::int32_t* b, int rows);
+// ---- Byte-operand bucket kernels (bsn == 64) -----------------------------
+//
+// The bucketed replay hands the kernels operands at byte width, the width
+// the tensor core consumes: A as a PanelA (ISA-neutral, decoded once per
+// block row) and B as a PanelB whose layout belongs to the dispatched
+// flavor. The vector-extension flavors widen to 32-bit lanes; the
+// AVX-512-VNNI flavor keeps bytes and multiplies with vpdpbusd (u8 x s8,
+// exact 4-way sums, wrapping int32 accumulation). A PanelB must only be read
+// by the flavor that packed it, which the dispatched entry points
+// guarantee (the dispatch choice is fixed for the life of the process).
 
-/// Fused decode+mma over one reduction step at fixed width 64 — the
-/// dominant single-group/single-plane bucket. `rows[k]` points at the
-/// packed bytes of reduction row k's 64-column span (nullptr for a padded
-/// slot, which is skipped: a zero row contributes exactly 0 mod 2^32).
-/// k_count <= 32. `int4` selects the 4-bit decode, `b_signed` the
-/// signedness, matching decode_span_int8/int4.
-void fused_decode_mma_n64(std::uint32_t* acc, const DecodedFrag& a,
+/// One replay step's A operand for one plane group: 8 panel rows x k
+/// elements (k = 16 or 32) as bytes, two's complement when `is_signed`,
+/// unsigned otherwise (stacked raw chunks and bias-encoded top planes run
+/// unsigned, §IV-D). `prefix[r][q]` is the exact sum of row r's first
+/// 4 * (q + 1) values, which the VNNI flavor needs for its sign correction
+/// over however many 4-deep k groups a step keeps.
+struct PanelA {
+  std::array<std::array<std::uint8_t, 32>, 8> v{};
+  std::array<std::array<std::int32_t, 8>, 8> prefix{};
+  int k = 16;
+  bool is_signed = true;
+};
+
+/// Loads row `row` of `out` (out.k elements, in the domain out.is_signed
+/// names) from packed plane bytes, as decode_span_int8/int4 would read
+/// them, or as decode_span_*_biased when `biased`; nullptr loads a zero
+/// row. Also sets the row's prefix sums.
+void load_panel_a_row(const std::uint8_t* src, bool int4, bool biased,
+                      int row, PanelA& out);
+
+/// The B rows of one replay step (k <= 32 rows x 64 columns), packed in the
+/// dispatched flavor's layout. Opaque to callers.
+struct PanelB {
+  // Scratch storage: each flavor writes what it later reads and nothing
+  // reads the rest, so it is deliberately left uninitialized (a zeroing
+  // pass would cost as much as packing a step).
+  alignas(64) std::array<std::int32_t, 32 * 64> data;
+  std::array<std::int8_t, 32> k_src{};  // flavor bookkeeping
+  int k = 0;
+  int flags = 0;
+};
+
+/// A-operand byte domains a packed B panel must serve (bit set).
+inline constexpr unsigned kPanelASigned = 1;
+inline constexpr unsigned kPanelAUnsigned = 2;
+
+/// Packs one replay step's B rows: `rows[k]` points at the packed bytes of
+/// reduction row k's 64-column span, nullptr for a padded slot (a zero
+/// row). k_count <= 32. `int4`/`b_signed` describe the bytes as
+/// decode_span_int4/int8 would read them; `a_signs` names the A domains
+/// (kPanelASigned | kPanelAUnsigned) that will multiply this panel.
+void pack_panel_b(const std::uint8_t* const* rows, int k_count, bool int4,
+                  bool b_signed, unsigned a_signs, PanelB& out);
+
+/// C[r][0..64) += sum_k A[r][k] * B[k][0..64) mod 2^32 for the first `rows`
+/// panel rows (1..8); rows past the limit are untouched. The active rows of
+/// a plane group always form a prefix (rr = lp * V + rb), so the row limit
+/// is the entire tail handling. `b` was packed from a.k rows with a's
+/// domain in its a_signs. Bit-exact with mma_panel over the decoded panel.
+void mma_panel_n64(std::uint32_t* acc, const PanelA& a, const PanelB& b,
+                   int rows);
+
+/// colsum[c] += sum_k B[k][c] for the 64 columns of a packed panel — the
+/// bias-correction column sums. Exact integer arithmetic.
+void panel_colsum(const PanelB& b, std::int64_t* colsum);
+
+/// Fused pack + mma over one reduction step — the dominant
+/// single-group/single-plane bucket: pack_panel_b for a's domain followed
+/// by mma_panel_n64 over the first `active_rows` rows, with no panel arena
+/// in the caller. Flavors may skip padded (null) rows outright.
+void fused_decode_mma_n64(std::uint32_t* acc, const PanelA& a,
                           const std::uint8_t* const* rows, int k_count,
-                          bool int4, bool b_signed);
+                          bool int4, bool b_signed, int active_rows);
+
+// SDDMM dot operands: one A row or one B column of k packed elements,
+// packed once into the dispatched flavor's layout (32-bit lanes, or bytes
+// plus their sum for VNNI) in dot_operand_words(k) words of storage.
+
+/// Storage words one packed dot operand of k elements needs.
+std::size_t dot_operand_words(std::size_t k);
+/// Packs k elements (the PackedBuffer byte layout, low nibble first on the
+/// int4 path) into a dot operand.
+void pack_dot_operand(const std::uint8_t* src, std::size_t k, bool int4,
+                      bool is_signed, std::int32_t* dst);
+/// sum_i a[i] * b[i] mod 2^32 over two operands packed with the same k —
+/// the SDDMM panel dot, bit-exact with dot_wrap over the decoded values.
+std::int32_t dot_packed(const std::int32_t* a, const std::int32_t* b,
+                        std::size_t k);
+
+/// Name of the panel-kernel flavor dispatch picked on this host:
+/// "avx512vnni", "avx512", "avx2", "neon" or "base".
+const char* panel_isa_name();
 
 /// colsum[c] += row[c] at int64 width over `n` columns — the vectorized
 /// bias-correction column-sum update. Exact integer arithmetic.
 void colsum_update(const std::int32_t* row, std::int64_t* colsum,
                    std::size_t n);
 
-/// total[c] += weight * (int32)acc_row[c] over `n` columns — the panel
-/// epilogue's weighted fold of one plane group's partial products into the
-/// exact int64 running total.
-void epilogue_combine(std::int64_t* total, const std::uint32_t* acc_row,
+/// out[c] += weight * (int32)acc_row[c] mod 2^32 over `n` columns — the
+/// panel epilogue's weighted fold of one plane group's partial products
+/// straight into the int32 output row. The output is int32, so folding
+/// mod 2^32 stores the same bits as an exact sum truncated once.
+void epilogue_combine(std::int32_t* out, const std::uint32_t* acc_row,
                       std::int64_t weight, std::size_t n);
 
-/// total[c] += weight * ((int32)acc_row[c] - bias * colsum[c]) — the
-/// signed-LHS bias-corrected variant of epilogue_combine.
-void epilogue_combine_biased(std::int64_t* total, const std::uint32_t* acc_row,
+/// out[c] += weight * ((int32)acc_row[c] - bias * colsum[c]) mod 2^32 —
+/// the signed-LHS bias-corrected variant of epilogue_combine.
+void epilogue_combine_biased(std::int32_t* out, const std::uint32_t* acc_row,
                              const std::int64_t* colsum, std::int64_t bias,
                              std::int64_t weight, std::size_t n);
 

@@ -6,8 +6,9 @@
 // before the AVX2 instantiation), so the binary stays safe on older cores.
 // MAGICUBE_PANEL_VEC512 lays the 64-column C strips out in 16-lane
 // registers — half the register pressure and half the fma issues of the
-// 8-lane layout. On other targets (or with MAGICUBE_SIMD off) the unit
-// compiles empty and is never referenced.
+// 8-lane layout. The avx512vnni flavor reuses every kernel of this
+// instantiation except the byte-operand ones. On other targets (or with
+// MAGICUBE_SIMD off) the unit compiles empty and is never referenced.
 
 #include <cstddef>
 #include <cstdint>

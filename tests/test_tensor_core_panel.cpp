@@ -10,16 +10,23 @@
 // Random fragments sweep both datapaths (int8, int4) and all signedness
 // combinations; SIMD and scalar builds must pass identically
 // (MAGICUBE_SIMD only changes instruction selection, never bits).
+//
+// Every flavor the host can run is checked, not just the one dispatch
+// picks: the suites iterate simt::panel_flavors() and assert each flavor's
+// kernels (the "impl") against a plain scalar description of the same
+// arithmetic (the "desc"), in the tensorize desc/impl pairing.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <vector>
 
 #include "common/packed.hpp"
 #include "common/rng.hpp"
 #include "simt/counters.hpp"
+#include "simt/panel_flavors.hpp"
 #include "simt/tensor_core.hpp"
 
 namespace magicube::simt {
@@ -48,6 +55,15 @@ std::int32_t random_acc(Rng& rng) {
   }
 }
 
+/// Every flavor of the panel kernels this host can run (at least "base").
+std::vector<const PanelFlavor*> host_flavors() {
+  std::vector<const PanelFlavor*> out;
+  for (const PanelFlavor& f : panel_flavors()) {
+    if (f.supported) out.push_back(&f);
+  }
+  return out;
+}
+
 struct PanelCase {
   bool int4 = false;
   bool a_signed = true;
@@ -70,6 +86,7 @@ TEST_P(PanelPropertyTest, MatchesDecodedAndCountedMma) {
   Rng rng(0x9a7e1 + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
   const int k = c.int4 ? 32 : 16;
   KernelCounters kc;
+  const auto flavors = host_flavors();
 
   for (int trial = 0; trial < 40; ++trial) {
     const int tiles = 1 + static_cast<int>(rng.next_below(8));
@@ -96,6 +113,8 @@ TEST_P(PanelPropertyTest, MatchesDecodedAndCountedMma) {
       }
     }
 
+    std::vector<std::vector<std::uint32_t>> flavor_acc(flavors.size(),
+                                                       panel_acc);
     for (int st = 0; st < steps; ++st) {
       const WarpReg a_frag = random_reg(rng);
       DecodedFrag a_dec;
@@ -148,6 +167,13 @@ TEST_P(PanelPropertyTest, MatchesDecodedAndCountedMma) {
         }
       }
       mma_panel(panel_acc.data(), a_dec, b_panel.data(), n);
+      for (std::size_t f = 0; f < flavors.size(); ++f) {
+        flavors[f]->mma_panel(flavor_acc[f].data(), a_dec, b_panel.data(), n);
+      }
+    }
+    for (std::size_t f = 0; f < flavors.size(); ++f) {
+      EXPECT_EQ(flavor_acc[f], panel_acc)
+          << flavors[f]->name << " trial " << trial;
     }
 
     for (int t = 0; t < tiles; ++t) {
@@ -188,6 +214,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DotWrap, MatchesWideReferenceModulo2e32) {
   Rng rng(0xd07);
+  const auto flavors = host_flavors();
   for (const std::size_t k : {std::size_t{7}, std::size_t{16},
                               std::size_t{64}, std::size_t{200}}) {
     for (int trial = 0; trial < 25; ++trial) {
@@ -200,9 +227,14 @@ TEST(DotWrap, MatchesWideReferenceModulo2e32) {
         want += static_cast<std::uint64_t>(
             static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]));
       }
-      EXPECT_EQ(dot_wrap(a.data(), b.data(), k, acc),
-                static_cast<std::int32_t>(static_cast<std::uint32_t>(want)))
+      const auto want32 =
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(want));
+      EXPECT_EQ(dot_wrap(a.data(), b.data(), k, acc), want32)
           << "k=" << k << " trial " << trial;
+      for (const PanelFlavor* f : flavors) {
+        EXPECT_EQ(f->dot_wrap(a.data(), b.data(), k, acc), want32)
+            << f->name << " k=" << k << " trial " << trial;
+      }
     }
   }
 }
@@ -216,10 +248,13 @@ TEST(DecodeSpan, Int8MatchesPackedBuffer) {
     for (std::size_t i = 0; i < buf.size(); ++i) {
       buf.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) & 0xffu);
     }
-    std::vector<std::int32_t> dst(buf.size());
-    decode_span_int8(buf.data(), buf.size(), is_signed(type), dst.data());
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      EXPECT_EQ(dst[i], buf.get(i)) << to_string(type) << " @" << i;
+    for (const PanelFlavor* f : host_flavors()) {
+      std::vector<std::int32_t> dst(buf.size());
+      f->decode_span_int8(buf.data(), buf.size(), is_signed(type), dst.data());
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        EXPECT_EQ(dst[i], buf.get(i)) << f->name << " " << to_string(type)
+                                      << " @" << i;
+      }
     }
   }
 }
@@ -231,10 +266,13 @@ TEST(DecodeSpan, Int4MatchesPackedBuffer) {
     for (std::size_t i = 0; i < buf.size(); ++i) {
       buf.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) & 0xfu);
     }
-    std::vector<std::int32_t> dst(buf.size());
-    decode_span_int4(buf.data(), buf.size(), is_signed(type), dst.data());
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      EXPECT_EQ(dst[i], buf.get(i)) << to_string(type) << " @" << i;
+    for (const PanelFlavor* f : host_flavors()) {
+      std::vector<std::int32_t> dst(buf.size());
+      f->decode_span_int4(buf.data(), buf.size(), is_signed(type), dst.data());
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        EXPECT_EQ(dst[i], buf.get(i)) << f->name << " " << to_string(type)
+                                      << " @" << i;
+      }
     }
   }
 }
@@ -243,172 +281,455 @@ TEST(DecodeSpan, BiasedIsSignedPlusExcess) {
   // The stacked top plane's bias encoding: raw ^ msb read unsigned equals
   // the signed value plus 2^(bits-1).
   Rng rng(0xb1a5);
-  {
-    PackedBuffer buf(77, Scalar::s8);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      buf.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) & 0xffu);
-    }
-    std::vector<std::int32_t> dst(buf.size());
-    decode_span_int8_biased(buf.data(), buf.size(), dst.data());
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      EXPECT_EQ(dst[i], buf.get(i) + 128) << i;
-    }
+  PackedBuffer buf8(77, Scalar::s8);
+  for (std::size_t i = 0; i < buf8.size(); ++i) {
+    buf8.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) & 0xffu);
   }
-  {
-    PackedBuffer buf(90, Scalar::s4);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      buf.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) & 0xfu);
+  PackedBuffer buf4(90, Scalar::s4);
+  for (std::size_t i = 0; i < buf4.size(); ++i) {
+    buf4.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) & 0xfu);
+  }
+  for (const PanelFlavor* f : host_flavors()) {
+    std::vector<std::int32_t> dst8(buf8.size());
+    f->decode_span_int8_biased(buf8.data(), buf8.size(), dst8.data());
+    for (std::size_t i = 0; i < buf8.size(); ++i) {
+      EXPECT_EQ(dst8[i], buf8.get(i) + 128) << f->name << " @" << i;
     }
-    std::vector<std::int32_t> dst(buf.size());
-    decode_span_int4_biased(buf.data(), buf.size(), dst.data());
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      EXPECT_EQ(dst[i], buf.get(i) + 8) << i;
+    std::vector<std::int32_t> dst4(buf4.size());
+    f->decode_span_int4_biased(buf4.data(), buf4.size(), dst4.data());
+    for (std::size_t i = 0; i < buf4.size(); ++i) {
+      EXPECT_EQ(dst4[i], buf4.get(i) + 8) << f->name << " @" << i;
     }
   }
 }
 
-// ---- bucket-specialized panel kernels (plan-time replay dispatch) ---------
-//
-// The bucket kernels (mma_panel_n64, fused_decode_mma_n64, colsum_update,
-// epilogue_combine{,_biased}) must be bit-exact mod 2^32 with the generic
-// mma_panel / scalar references they specialize, from the same
-// wraparound-edge seeds. The public entry points dispatch at runtime
-// (AVX-512 -> AVX2 -> baseline on x86-64, NEON on AArch64), so one binary
-// exercises the widest flavor its host supports; CI's MAGICUBE_SIMD=OFF leg
-// pins the scalar fallback to the identical expectations.
-
-/// Fills a decoded fragment with wraparound-edge values; `k` picks the
-/// datapath depth the panel kernels see.
-DecodedFrag random_dec(Rng& rng, int k) {
-  DecodedFrag d;
-  d.k = k;
-  for (auto& row : d.v) {
-    for (auto& val : row) val = random_acc(rng);
-  }
-  return d;
-}
-
-// Fixed-width kernel vs the generic runtime-width panel: identical bits on
-// the first `rows` rows, untouched accumulators beyond them (partial
-// stacked plane groups rely on exactly that prefix contract).
-TEST_P(PanelPropertyTest, MmaPanelN64MatchesGenericPanel) {
-  const PanelCase& c = GetParam();
-  Rng rng(0xf1bed + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
-  const int k = c.int4 ? 32 : 16;
-
-  for (int trial = 0; trial < 20; ++trial) {
-    const int rows = 1 + static_cast<int>(rng.next_below(8));
-    const DecodedFrag a = random_dec(rng, k);
-    std::vector<std::int32_t> b(static_cast<std::size_t>(k) * 64);
-    for (auto& v : b) v = random_acc(rng);
-
-    std::vector<std::uint32_t> want(8 * 64), got(8 * 64);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      want[i] = got[i] = static_cast<std::uint32_t>(random_acc(rng));
-    }
-    const std::vector<std::uint32_t> init = got;
-    mma_panel(want.data(), a, b.data(), 64);
-    mma_panel_n64(got.data(), a, b.data(), rows);
-
-    for (int r = 0; r < 8; ++r) {
-      for (int col = 0; col < 64; ++col) {
-        const std::size_t i = static_cast<std::size_t>(r * 64 + col);
-        // Rows past the prefix must not be written.
-        EXPECT_EQ(got[i], r < rows ? want[i] : init[i])
-            << "trial " << trial << " rows=" << rows << " (" << r << ", "
-            << col << ")";
-      }
-    }
-  }
-}
-
-// Fused decode+mma vs decode_span followed by the generic panel kernel:
-// compacting padded (null) B rows away must be invisible mod 2^32.
-TEST_P(PanelPropertyTest, FusedDecodeMmaMatchesDecodeThenPanel) {
-  const PanelCase& c = GetParam();
-  Rng rng(0xf05ed + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
-  const int k_count = c.int4 ? 32 : 16;
-  const Scalar b_type = c.int4 ? (c.b_signed ? Scalar::s4 : Scalar::u4)
-                              : (c.b_signed ? Scalar::s8 : Scalar::u8);
-
-  for (int trial = 0; trial < 20; ++trial) {
-    const DecodedFrag a = random_dec(rng, k_count);
-
-    std::vector<PackedBuffer> storage;
-    std::array<const std::uint8_t*, 32> rows{};
-    rows.fill(nullptr);
-    storage.reserve(static_cast<std::size_t>(k_count));
-    for (int kk = 0; kk < k_count; ++kk) {
-      // ~1/4 of the rows padded away (trial 0: all padded — no-op call).
-      if (trial == 0 || rng.next_below(4) == 0) continue;
-      PackedBuffer buf(64, b_type);
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        buf.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) &
-                           (c.int4 ? 0xfu : 0xffu));
-      }
-      storage.push_back(std::move(buf));
-      rows[static_cast<std::size_t>(kk)] = storage.back().data();
-    }
-
-    std::vector<std::uint32_t> want(8 * 64), got(8 * 64);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      want[i] = got[i] = static_cast<std::uint32_t>(random_acc(rng));
-    }
-
-    fused_decode_mma_n64(got.data(), a, rows.data(), k_count, c.int4,
-                         c.b_signed);
-
-    // Reference: decode every present row, zero-fill padded ones, generic
-    // accumulation over the full k_count.
-    std::vector<std::int32_t> panel(static_cast<std::size_t>(k_count) * 64, 0);
-    for (int kk = 0; kk < k_count; ++kk) {
-      if (rows[static_cast<std::size_t>(kk)] == nullptr) continue;
-      std::int32_t* dst = panel.data() + static_cast<std::size_t>(kk) * 64;
-      if (c.int4) {
-        decode_span_int4(rows[static_cast<std::size_t>(kk)], 64, c.b_signed,
-                         dst);
-      } else {
-        decode_span_int8(rows[static_cast<std::size_t>(kk)], 64, c.b_signed,
-                         dst);
-      }
-    }
-    for (int r = 0; r < 8; ++r) {
-      for (int kk = 0; kk < k_count; ++kk) {
-        const std::uint32_t av = static_cast<std::uint32_t>(
-            a.v[static_cast<std::size_t>(r)][static_cast<std::size_t>(kk)]);
-        if (rows[static_cast<std::size_t>(kk)] == nullptr) continue;
-        for (int col = 0; col < 64; ++col) {
-          want[static_cast<std::size_t>(r * 64 + col)] +=
-              av * static_cast<std::uint32_t>(
-                       panel[static_cast<std::size_t>(kk * 64 + col)]);
+// A PanelA row holds the values decode_span (or its biased variant) would
+// produce, as bytes in the row's domain, plus their exact sum.
+TEST(DecodeSpan, PanelARowMatchesDecodeSpan) {
+  Rng rng(0xa70a);
+  for (const PanelFlavor* f : host_flavors()) {
+    for (const bool int4 : {false, true}) {
+      const int k = int4 ? 32 : 16;
+      for (int mode = 0; mode < 3; ++mode) {  // signed, unsigned, biased
+        const bool biased = mode == 2;
+        const bool is_signed = mode == 0;
+        PackedBuffer buf(static_cast<std::size_t>(k),
+                         int4 ? (mode == 1 ? Scalar::u4 : Scalar::s4)
+                              : (mode == 1 ? Scalar::u8 : Scalar::s8));
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          buf.set_raw(i, static_cast<std::uint32_t>(rng.next_u64()) &
+                             (int4 ? 0xfu : 0xffu));
+        }
+        std::vector<std::int32_t> want(buf.size());
+        if (biased) {
+          (int4 ? f->decode_span_int4_biased : f->decode_span_int8_biased)(
+              buf.data(), buf.size(), want.data());
+        } else {
+          (int4 ? f->decode_span_int4 : f->decode_span_int8)(
+              buf.data(), buf.size(), is_signed, want.data());
+        }
+        PanelA a;
+        a.k = k;
+        a.is_signed = is_signed;
+        a.prefix[3].fill(-1);
+        a.prefix[5].fill(-1);
+        f->load_panel_a_row(buf.data(), int4, biased, 3, a);
+        f->load_panel_a_row(nullptr, int4, biased, 5, a);
+        std::int32_t sum = 0;
+        for (int kk = 0; kk < k; ++kk) {
+          if (kk % 4 == 0 && kk > 0) {
+            EXPECT_EQ(a.prefix[3][static_cast<std::size_t>(kk / 4 - 1)], sum)
+                << f->name << " mode " << mode << " quad " << kk / 4 - 1;
+          }
+          const std::uint8_t byte = a.v[3][static_cast<std::size_t>(kk)];
+          const std::int32_t got =
+              is_signed ? static_cast<std::int8_t>(byte) : byte;
+          EXPECT_EQ(got, want[static_cast<std::size_t>(kk)])
+              << f->name << (int4 ? " int4" : " int8") << " mode " << mode
+              << " @" << kk;
+          EXPECT_EQ(a.v[5][static_cast<std::size_t>(kk)], 0);
+          sum += want[static_cast<std::size_t>(kk)];
+        }
+        EXPECT_EQ(a.prefix[3][static_cast<std::size_t>(k / 4 - 1)], sum)
+            << f->name << " mode " << mode;
+        for (int q = 0; q < k / 4; ++q) {
+          EXPECT_EQ(a.prefix[5][static_cast<std::size_t>(q)], 0);
         }
       }
     }
-    EXPECT_EQ(got, want) << "trial " << trial << " present rows "
-                         << storage.size();
   }
+}
+
+// ---- byte-operand bucket kernels (plan-time replay dispatch) --------------
+//
+// The bucket kernels take A as a PanelA (bytes) and B as packed plane bytes
+// that each flavor repacks into its own PanelB layout (32-bit lanes, or
+// quad-interleaved bytes for vpdpbusd). Every host flavor must match the
+// scalar description below bit for bit mod 2^32, from wraparound-edge
+// accumulator seeds, for every signedness pair — including u8 x u8 and
+// s8 x s8, which the VNNI flavor runs with a flipped B and a row-sum
+// correction. CI's MAGICUBE_SIMD=OFF leg pins the scalar fallback to the
+// identical expectations.
+
+/// Value range of one operand's byte domain.
+struct Domain {
+  std::int32_t lo, hi;
+};
+Domain domain_of(bool int4, bool is_signed) {
+  if (int4) return is_signed ? Domain{-8, 7} : Domain{0, 15};
+  return is_signed ? Domain{-128, 127} : Domain{0, 255};
+}
+
+Scalar scalar_of(bool int4, bool is_signed) {
+  if (int4) return is_signed ? Scalar::s4 : Scalar::u4;
+  return is_signed ? Scalar::s8 : Scalar::u8;
+}
+
+/// A domain value: uniform, or (extreme) only the domain's end points —
+/// mostly the end of larger magnitude (-128/255, -8/15), so products share
+/// a sign and a long reduction wraps the accumulator soonest.
+std::int32_t domain_value(Rng& rng, Domain d, bool extreme) {
+  if (!extreme) return static_cast<std::int32_t>(rng.next_in(d.lo, d.hi));
+  const std::int32_t big = -d.lo > d.hi ? d.lo : d.hi;
+  const std::int32_t other = big == d.lo ? d.hi : d.lo;
+  return rng.next_below(8) == 0 ? other : big;
+}
+
+/// One replay step's operands: A as a DecodedFrag and its PanelA, B as
+/// packed 64-column rows (nullptr = padded) plus their values.
+struct StepOperands {
+  DecodedFrag a_dec;
+  PanelA a;
+  std::vector<PackedBuffer> storage;
+  std::array<const std::uint8_t*, 32> rows{};
+  std::vector<std::int32_t> b;  // [k][64], zero on padded rows
+};
+
+StepOperands random_step(Rng& rng, const PanelCase& c, int pad_one_in,
+                         bool extreme) {
+  const int k = c.int4 ? 32 : 16;
+  StepOperands s;
+  s.a_dec.k = k;
+  const Domain da = domain_of(c.int4, c.a_signed);
+  for (auto& row : s.a_dec.v) {
+    for (int kk = 0; kk < k; ++kk) {
+      row[static_cast<std::size_t>(kk)] = domain_value(rng, da, extreme);
+    }
+  }
+  // A rows as packed plane bytes, loaded the way the replay loads them.
+  s.a.k = k;
+  s.a.is_signed = c.a_signed;
+  for (int r = 0; r < 8; ++r) {
+    const auto& values = s.a_dec.v[static_cast<std::size_t>(r)];
+    PackedBuffer row(static_cast<std::size_t>(k),
+                     scalar_of(c.int4, c.a_signed));
+    for (std::size_t kk = 0; kk < row.size(); ++kk) row.set(kk, values[kk]);
+    load_panel_a_row(row.data(), c.int4, /*biased=*/false, r, s.a);
+  }
+
+  const Domain db = domain_of(c.int4, c.b_signed);
+  s.b.assign(static_cast<std::size_t>(k) * 64, 0);
+  s.storage.reserve(static_cast<std::size_t>(k));
+  s.rows.fill(nullptr);
+  // Replay pads the tail of a row's last step; a third of the padded
+  // steps pad a tail as well as scattered rows.
+  const int present_end =
+      pad_one_in > 0 && rng.next_below(3) == 0
+          ? static_cast<int>(rng.next_below(static_cast<std::uint64_t>(k) + 1))
+          : k;
+  for (int kk = 0; kk < k; ++kk) {
+    if (kk >= present_end ||
+        (pad_one_in > 0 &&
+         rng.next_below(static_cast<std::uint64_t>(pad_one_in)) == 0)) {
+      continue;
+    }
+    PackedBuffer buf(64, scalar_of(c.int4, c.b_signed));
+    for (std::size_t col = 0; col < 64; ++col) {
+      const std::int32_t val = domain_value(rng, db, extreme);
+      buf.set(col, val);
+      s.b[static_cast<std::size_t>(kk) * 64 + col] = val;
+    }
+    s.storage.push_back(std::move(buf));
+    s.rows[static_cast<std::size_t>(kk)] = s.storage.back().data();
+  }
+  return s;
+}
+
+/// desc: C[r][c] += sum_k A[r][k] * B[k][c] mod 2^32 over the first `rows`
+/// rows of a row-major 8 x 64 accumulator.
+void describe_step(std::vector<std::uint32_t>& acc, const StepOperands& s,
+                   int rows) {
+  for (int r = 0; r < rows; ++r) {
+    for (int col = 0; col < 64; ++col) {
+      std::uint32_t sum = acc[static_cast<std::size_t>(r * 64 + col)];
+      for (int kk = 0; kk < s.a_dec.k; ++kk) {
+        sum += static_cast<std::uint32_t>(
+                   s.a_dec.v[static_cast<std::size_t>(r)]
+                            [static_cast<std::size_t>(kk)]) *
+               static_cast<std::uint32_t>(
+                   s.b[static_cast<std::size_t>(kk * 64 + col)]);
+      }
+      acc[static_cast<std::size_t>(r * 64 + col)] = sum;
+    }
+  }
+}
+
+std::vector<std::uint32_t> random_panel_acc(Rng& rng) {
+  std::vector<std::uint32_t> acc(8 * 64);
+  for (auto& v : acc) v = static_cast<std::uint32_t>(random_acc(rng));
+  return acc;
+}
+
+unsigned a_sign_bit(bool a_signed) {
+  return a_signed ? kPanelASigned : kPanelAUnsigned;
+}
+
+// Fixed-width kernel vs the description and vs the generic runtime-width
+// panel: identical bits on the first `rows` rows, untouched accumulators
+// beyond them (partial stacked plane groups rely on exactly that prefix
+// contract). The panel is packed for both A domains, as for a row whose
+// plane groups differ in signedness.
+TEST_P(PanelPropertyTest, MmaPanelN64MatchesGenericPanel) {
+  const PanelCase& c = GetParam();
+  Rng rng(0xf1bed + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
+
+  for (const PanelFlavor* f : host_flavors()) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const int rows = 1 + static_cast<int>(rng.next_below(8));
+      const StepOperands s = random_step(rng, c, 5, trial % 4 == 3);
+      const std::vector<std::uint32_t> init = random_panel_acc(rng);
+
+      std::vector<std::uint32_t> want = init, generic = init, got = init;
+      describe_step(want, s, rows);
+      PanelB packed;
+      f->pack_panel_b(s.rows.data(), s.a.k, c.int4, c.b_signed,
+                      kPanelASigned | kPanelAUnsigned, packed);
+      f->mma_panel_n64(got.data(), s.a, packed, rows);
+      f->mma_panel(generic.data(), s.a_dec, s.b.data(), 64);
+
+      for (int r = 0; r < 8; ++r) {
+        for (int col = 0; col < 64; ++col) {
+          const std::size_t i = static_cast<std::size_t>(r * 64 + col);
+          // Rows past the prefix must not be written.
+          EXPECT_EQ(got[i], r < rows ? want[i] : init[i])
+              << f->name << " trial " << trial << " rows=" << rows << " ("
+              << r << ", " << col << ")";
+          EXPECT_EQ(generic[i], r < rows ? want[i] : generic[i])
+              << f->name << " generic trial " << trial;
+        }
+      }
+    }
+  }
+}
+
+// Fused pack+mma vs the description: padded (null) B rows are zero rows,
+// and only the first `active_rows` rows (V of a single-plane group) are
+// computed — rows past the limit stay untouched.
+TEST_P(PanelPropertyTest, FusedDecodeMmaMatchesDecodeThenPanel) {
+  const PanelCase& c = GetParam();
+  Rng rng(0xf05ed + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
+
+  for (const PanelFlavor* f : host_flavors()) {
+    for (int trial = 0; trial < 24; ++trial) {
+      // Trial 0: every row padded (a no-op call); then ~1/4 padded.
+      const StepOperands s =
+          random_step(rng, c, trial == 0 ? 1 : 4, trial % 5 == 4);
+      const int active = trial < 8 ? 8 : 1 + static_cast<int>(trial % 8);
+      const std::vector<std::uint32_t> init = random_panel_acc(rng);
+      std::vector<std::uint32_t> want = init, got = init;
+      describe_step(want, s, active);
+      f->fused_decode_mma_n64(got.data(), s.a, s.rows.data(), s.a.k, c.int4,
+                              c.b_signed, active);
+      EXPECT_EQ(got, want) << f->name << " trial " << trial << " active "
+                           << active << " present rows " << s.storage.size();
+    }
+  }
+}
+
+// Column sums of a packed panel (the bias-correction input) vs the
+// description, for every A-domain set the panel may be packed for.
+TEST_P(PanelPropertyTest, PanelColsumMatchesDescription) {
+  const PanelCase& c = GetParam();
+  Rng rng(0xc01c5 + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
+
+  for (const PanelFlavor* f : host_flavors()) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const StepOperands s = random_step(rng, c, 3, trial % 3 == 2);
+      const unsigned signs = trial % 3 == 0   ? a_sign_bit(c.a_signed)
+                             : trial % 3 == 1 ? a_sign_bit(!c.a_signed)
+                                              : kPanelASigned | kPanelAUnsigned;
+      std::vector<std::int64_t> got(64), want(64);
+      for (std::size_t i = 0; i < 64; ++i) {
+        got[i] = want[i] = rng.next_in(-(1ll << 40), 1ll << 40);
+      }
+      for (int kk = 0; kk < s.a.k; ++kk) {
+        for (std::size_t col = 0; col < 64; ++col) {
+          want[col] += s.b[static_cast<std::size_t>(kk) * 64 + col];
+        }
+      }
+      PanelB packed;
+      f->pack_panel_b(s.rows.data(), s.a.k, c.int4, c.b_signed, signs, packed);
+      f->panel_colsum(packed, got.data());
+      EXPECT_EQ(got, want) << f->name << " trial " << trial;
+    }
+  }
+}
+
+// Wrap stress: domain end-point operands (-128/127/255, -8/7/15) over a
+// long chained reduction, from accumulators seeded next to the int32 edge
+// the products push toward, so the accumulator wraps during the reduction.
+// Each step's products are exact; only the accumulator may wrap, and it
+// must wrap exactly as the description does.
+TEST_P(PanelPropertyTest, WrapStressLongReduction) {
+  const PanelCase& c = GetParam();
+  const int steps = 600;
+  // Sign of the dominant product (see domain_value's extreme mode).
+  const bool negative = c.a_signed != c.b_signed;
+  const std::uint32_t seed = static_cast<std::uint32_t>(
+      negative ? std::numeric_limits<std::int32_t>::min() + 1000
+               : std::numeric_limits<std::int32_t>::max() - 1000);
+
+  for (const PanelFlavor* f : host_flavors()) {
+    Rng rng(0x3a9 + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
+    std::vector<std::uint32_t> want(8 * 64, seed), fixed = want, fused = want;
+    std::int64_t wide = static_cast<std::int32_t>(seed);  // (0, 0), exact
+    PanelB packed;
+    for (int st = 0; st < steps; ++st) {
+      const StepOperands s =
+          random_step(rng, c, st % 7 == 0 ? 8 : 0, /*extreme=*/true);
+      describe_step(want, s, 8);
+      for (int kk = 0; kk < s.a.k; ++kk) {
+        wide += static_cast<std::int64_t>(
+                    s.a_dec.v[0][static_cast<std::size_t>(kk)]) *
+                s.b[static_cast<std::size_t>(kk) * 64];
+      }
+      f->pack_panel_b(s.rows.data(), s.a.k, c.int4, c.b_signed,
+                      a_sign_bit(c.a_signed), packed);
+      f->mma_panel_n64(fixed.data(), s.a, packed, 8);
+      f->fused_decode_mma_n64(fused.data(), s.a, s.rows.data(), s.a.k, c.int4,
+                              c.b_signed, 8);
+    }
+    EXPECT_TRUE(wide > std::numeric_limits<std::int32_t>::max() ||
+                wide < std::numeric_limits<std::int32_t>::min())
+        << "the reduction must actually wrap: " << wide;
+    EXPECT_EQ(want[0], static_cast<std::uint32_t>(wide));
+    EXPECT_EQ(fixed, want) << f->name;
+    EXPECT_EQ(fused, want) << f->name;
+  }
+}
+
+// ---- SDDMM dot operands ---------------------------------------------------
+
+/// desc: sum_i a[i] * b[i] mod 2^32 over the packed elements' values.
+std::int32_t describe_dot(const PackedBuffer& a, const PackedBuffer& b) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    sum += static_cast<std::uint32_t>(a.get(i)) *
+           static_cast<std::uint32_t>(b.get(i));
+  }
+  return static_cast<std::int32_t>(sum);
+}
+
+PackedBuffer random_span(Rng& rng, std::size_t k, bool int4, bool is_signed,
+                         bool extreme) {
+  PackedBuffer buf(k, scalar_of(int4, is_signed));
+  const Domain d = domain_of(int4, is_signed);
+  for (std::size_t i = 0; i < k; ++i) buf.set(i, domain_value(rng, d, extreme));
+  return buf;
+}
+
+// The packed dot vs the description, for depths with and without a
+// partial last vector and one deep reduction of end-point operands. On the
+// int8 path that depth wraps the accumulator (2^18 terms of |x| >= 2^13);
+// on int4 wrapping would take ~10^7 terms, so the panel wrap stress above
+// carries that datapath.
+TEST_P(PanelPropertyTest, DotPackedMatchesDescription) {
+  const PanelCase& c = GetParam();
+  Rng rng(0xd07b + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
+  const std::size_t deep_k = std::size_t{1} << 18;
+
+  for (const PanelFlavor* f : host_flavors()) {
+    for (const std::size_t k :
+         {std::size_t{32}, std::size_t{64}, std::size_t{96}, std::size_t{160},
+          std::size_t{512}, deep_k}) {
+      const int trials = k == deep_k ? 1 : 6;
+      for (int trial = 0; trial < trials; ++trial) {
+        const bool extreme = k == deep_k || trial % 2 == 1;
+        const PackedBuffer a = random_span(rng, k, c.int4, c.a_signed, extreme);
+        const PackedBuffer b = random_span(rng, k, c.int4, c.b_signed, extreme);
+        std::vector<std::int32_t> pa(f->dot_operand_words(k)),
+            pb(f->dot_operand_words(k));
+        f->pack_dot_operand(a.data(), k, c.int4, c.a_signed, pa.data());
+        f->pack_dot_operand(b.data(), k, c.int4, c.b_signed, pb.data());
+        EXPECT_EQ(f->dot_packed(pa.data(), pb.data(), k), describe_dot(a, b))
+            << f->name << " k=" << k << " trial " << trial;
+        if (k == deep_k && !c.int4) {
+          std::int64_t exact = 0;
+          for (std::size_t i = 0; i < k; ++i) {
+            exact += static_cast<std::int64_t>(a.get(i)) * b.get(i);
+          }
+          EXPECT_TRUE(exact > std::numeric_limits<std::int32_t>::max() ||
+                      exact < std::numeric_limits<std::int32_t>::min())
+              << "the deep dot must actually wrap: " << exact;
+        }
+      }
+    }
+  }
+}
+
+TEST(PanelFlavors, DispatchPicksTheWidestSupportedFlavor) {
+  const auto flavors = panel_flavors();
+  ASSERT_FALSE(flavors.empty());
+  EXPECT_STREQ(flavors.back().name, "base");
+  EXPECT_TRUE(flavors.back().supported);
+  const PanelFlavor* first = nullptr;
+  for (const PanelFlavor& f : flavors) {
+    if (f.supported) {
+      first = &f;
+      break;
+    }
+  }
+  ASSERT_NE(first, nullptr);
+  EXPECT_STREQ(panel_isa_name(), first->name);
+  if (!simd_enabled()) {
+    EXPECT_EQ(flavors.size(), 1u);
+  }
+  std::printf("panel flavors:");
+  for (const PanelFlavor& f : flavors) {
+    std::printf(" %s%s", f.name, f.supported ? "" : "(unsupported)");
+  }
+  std::printf("; dispatched: %s\n", panel_isa_name());
 }
 
 TEST(PanelEpilogue, ColsumUpdateMatchesScalar) {
   Rng rng(0xc015);
+  const auto flavors = host_flavors();
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{7},
         std::size_t{64}, std::size_t{65}}) {
     std::vector<std::int32_t> row(n);
     for (auto& v : row) v = random_acc(rng);
-    std::vector<std::int64_t> got(n), want(n);
+    std::vector<std::int64_t> init(n), want(n);
     for (std::size_t i = 0; i < n; ++i) {
-      got[i] = want[i] = static_cast<std::int64_t>(rng.next_u64() >> 8) -
-                         (1ll << 54);
+      init[i] = static_cast<std::int64_t>(rng.next_u64() >> 8) - (1ll << 54);
+      want[i] = init[i] + row[i];
     }
+    std::vector<std::int64_t> got = init;
     colsum_update(row.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i) want[i] += row[i];
     EXPECT_EQ(got, want) << "n=" << n;
+    for (const PanelFlavor* f : flavors) {
+      got = init;
+      f->colsum_update(row.data(), got.data(), n);
+      EXPECT_EQ(got, want) << f->name << " n=" << n;
+    }
   }
 }
 
+// The epilogue folds into the int32 output row mod 2^32; the description
+// is the exact int64 sum, truncated once.
 TEST(PanelEpilogue, CombineMatchesScalar) {
   Rng rng(0xe919);
+  const auto flavors = host_flavors();
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{4}, std::size_t{63}, std::size_t{64}}) {
     for (int trial = 0; trial < 10; ++trial) {
@@ -416,22 +737,28 @@ TEST(PanelEpilogue, CombineMatchesScalar) {
           trial == 0 ? 1 : rng.next_in(-(1 << 20), 1 << 20);
       std::vector<std::uint32_t> acc(n);
       for (auto& v : acc) v = static_cast<std::uint32_t>(random_acc(rng));
-      std::vector<std::int64_t> got(n), want(n);
+      std::vector<std::int32_t> init(n), want(n);
       for (std::size_t i = 0; i < n; ++i) {
-        got[i] = want[i] = rng.next_in(-(1ll << 40), 1ll << 40);
+        init[i] = random_acc(rng);
+        want[i] = static_cast<std::int32_t>(
+            init[i] + weight * static_cast<std::int64_t>(
+                                   static_cast<std::int32_t>(acc[i])));
       }
+      std::vector<std::int32_t> got = init;
       epilogue_combine(got.data(), acc.data(), weight, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        want[i] += weight * static_cast<std::int64_t>(
-                                static_cast<std::int32_t>(acc[i]));
-      }
       EXPECT_EQ(got, want) << "n=" << n << " trial " << trial;
+      for (const PanelFlavor* f : flavors) {
+        got = init;
+        f->epilogue_combine(got.data(), acc.data(), weight, n);
+        EXPECT_EQ(got, want) << f->name << " n=" << n << " trial " << trial;
+      }
     }
   }
 }
 
 TEST(PanelEpilogue, CombineBiasedMatchesScalar) {
   Rng rng(0xb1a5e);
+  const auto flavors = host_flavors();
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{4}, std::size_t{63}, std::size_t{64}}) {
     for (int trial = 0; trial < 10; ++trial) {
@@ -441,18 +768,26 @@ TEST(PanelEpilogue, CombineBiasedMatchesScalar) {
       for (auto& v : acc) v = static_cast<std::uint32_t>(random_acc(rng));
       std::vector<std::int64_t> colsum(n);
       for (auto& v : colsum) v = rng.next_in(-(1ll << 30), 1ll << 30);
-      std::vector<std::int64_t> got(n), want(n);
+      std::vector<std::int32_t> init(n), want(n);
       for (std::size_t i = 0; i < n; ++i) {
-        got[i] = want[i] = rng.next_in(-(1ll << 40), 1ll << 40);
+        init[i] = random_acc(rng);
+        // Exact in int64 up to the final truncation: |w| < 2^21 and
+        // |acc - bias * colsum| < 2^39.
+        want[i] = static_cast<std::int32_t>(
+            init[i] + weight * (static_cast<std::int64_t>(
+                                    static_cast<std::int32_t>(acc[i])) -
+                                bias * colsum[i]));
       }
+      std::vector<std::int32_t> got = init;
       epilogue_combine_biased(got.data(), acc.data(), colsum.data(), bias,
                               weight, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        want[i] += weight * (static_cast<std::int64_t>(
-                                 static_cast<std::int32_t>(acc[i])) -
-                             bias * colsum[i]);
-      }
       EXPECT_EQ(got, want) << "n=" << n << " trial " << trial;
+      for (const PanelFlavor* f : flavors) {
+        got = init;
+        f->epilogue_combine_biased(got.data(), acc.data(), colsum.data(), bias,
+                                   weight, n);
+        EXPECT_EQ(got, want) << f->name << " n=" << n << " trial " << trial;
+      }
     }
   }
 }
