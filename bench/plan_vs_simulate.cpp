@@ -1,21 +1,17 @@
-// Replay engines vs lane-accurate simulation: wall-clock comparison of the
-// block-panel replay (ExecMode::fast, ReplayKernel::panel — the default),
-// the PR-3 per-fragment replay (ReplayKernel::fragment) and
+// Plan replay vs lane-accurate simulation: wall-clock comparison of the
+// block-panel replay (ExecMode::fast, the one fast path) and
 // ExecMode::simulate, plus the one-time plan-build cost, on the Fig. 12
 // SpMM shapes (uniform DLMC-style patterns, every precision pair) and the
 // Fig. 13 SDDMM pairs.
 //
-// Bit-exactness and counter equality across all three engines are
+// Bit-exactness and counter equality of the replay against simulate are
 // re-asserted inline on every shape before timing (a bench that measured a
-// wrong kernel would be worse than no bench). The enforced acceptance
-// gates compare against the *recorded baseline* JSON in bench/baselines/
-// (bars rise by re-recording, never by editing code):
-//   * aggregate SpMM panel-vs-simulate speedup >= recorded bar
-//   * aggregate SpMM panel-vs-fragment speedup >= recorded bar (the
-//     micro-kernel must keep beating the engine it replaced)
-// The binary exits nonzero on a miss, so the bench-smoke CTest
-// registration turns a fast-path regression into a red build. Sanitizer
-// builds report without enforcing (distorted timings).
+// wrong kernel would be worse than no bench). The enforced acceptance gate
+// compares the aggregate SpMM panel-vs-simulate speedup against the
+// *recorded baseline* JSON in bench/baselines/ (bars rise by re-recording,
+// never by editing code). The binary exits nonzero on a miss, so the
+// bench-smoke CTest registration turns a fast-path regression into a red
+// build. Sanitizer builds report without enforcing (distorted timings).
 //
 // Timing: every (shape, engine) pair is timed in windows calibrated to at
 // least 5 ms of calls (the smoke shapes replay in ~0.05 ms, so a fixed
@@ -28,8 +24,8 @@
 // to google-benchmark (--benchmark_out, ...); CI uploads the JSON so the
 // BENCH_* perf trajectory populates — once per MAGICUBE_SIMD leg. The
 // BM_ReplayComparison entry of that JSON carries the table's aggregates:
-// gated speedups, per-engine CV, per-bucket panel GOPS and the dispatched
-// panel-kernel flavor.
+// the gated speedup, per-engine CV, aggregate and per-bucket panel GOPS and
+// the dispatched panel-kernel flavor.
 
 #include <benchmark/benchmark.h>
 
@@ -141,21 +137,19 @@ void time_window(Samples& s, Fn&& fn) {
 /// plan replay looks like in serving traffic, and the median over rounds
 /// keeps the estimate robust when the bench shares the machine (CTest runs
 /// the smoke registration alongside other tests).
-template <typename Sim, typename Frag, typename Panel>
-void time_engines(Sim&& sim, Frag&& frag, Panel&& panel, Samples& sim_s,
-                  Samples& frag_s, Samples& panel_s) {
+template <typename Sim, typename Panel>
+void time_engines(Sim&& sim, Panel&& panel, Samples& sim_s,
+                  Samples& panel_s) {
   sim_s = calibrate(sim);
-  frag_s = calibrate(frag);
   panel_s = calibrate(panel);
   for (int round = 0; round < kTimingRounds; ++round) {
     time_window(sim_s, sim);
-    time_window(frag_s, frag);
     time_window(panel_s, panel);
   }
 }
 
 struct OpTimings {
-  Samples simulate, fragment, panel;
+  Samples simulate, panel;
   double plan_build_s = 0;
   std::uint64_t useful_ops = 0;
   /// Plan-recorded bucket census (which specialized kernel each block row /
@@ -184,31 +178,21 @@ OpTimings time_spmm(const Shape& shape, PrecisionPair prec,
   t.plan_build_s = seconds_since(start);
   t.spmm_buckets = plan->run.counters.spmm_bucket_blocks;
 
-  // Correctness anchor before timing: all three engines bit-exact, counters
-  // equal.
-  cfg.mode = core::ExecMode::simulate;
-  const core::SpmmResult sim = core::spmm(a, b, cfg);
-  cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::fragment;
-  const core::SpmmResult frag = core::spmm(a, b, cfg, *plan);
-  cfg.replay = core::ReplayKernel::panel;
-  const core::SpmmResult panel = core::spmm(a, b, cfg, *plan);
-  MAGICUBE_CHECK_MSG(frag.c == sim.c, "fragment/simulate result mismatch");
+  // Correctness anchor before timing: the replay bit-exact with simulate,
+  // counters equal.
+  core::SpmmConfig sim_cfg = cfg, panel_cfg = cfg;
+  sim_cfg.mode = core::ExecMode::simulate;
+  panel_cfg.mode = core::ExecMode::fast;
+  const core::SpmmResult sim = core::spmm(a, b, sim_cfg);
+  const core::SpmmResult panel = core::spmm(a, b, panel_cfg, *plan);
   MAGICUBE_CHECK_MSG(panel.c == sim.c, "panel/simulate result mismatch");
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
                      "fast/simulate counter mismatch");
 
-  core::SpmmConfig sim_cfg = cfg, frag_cfg = cfg, panel_cfg = cfg;
-  sim_cfg.mode = core::ExecMode::simulate;
-  sim_cfg.replay = std::nullopt;
-  frag_cfg.mode = panel_cfg.mode = core::ExecMode::fast;
-  frag_cfg.replay = core::ReplayKernel::fragment;
-  panel_cfg.replay = core::ReplayKernel::panel;
   time_engines(
       [&] { benchmark::DoNotOptimize(core::spmm(a, b, sim_cfg)); },
-      [&] { benchmark::DoNotOptimize(core::spmm(a, b, frag_cfg, *plan)); },
       [&] { benchmark::DoNotOptimize(core::spmm(a, b, panel_cfg, *plan)); },
-      t.simulate, t.fragment, t.panel);
+      t.simulate, t.panel);
   t.useful_ops = core::spmm_useful_ops(pattern, shape.n);
   return t;
 }
@@ -235,36 +219,23 @@ OpTimings time_sddmm(const Shape& shape, PrecisionPair prec,
   t.plan_build_s = seconds_since(start);
   t.sddmm_buckets = plan->run.counters.sddmm_bucket_blocks;
 
-  cfg.mode = core::ExecMode::simulate;
-  const core::SddmmResult sim = core::sddmm(a, b, pattern, cfg);
-  cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::fragment;
-  const core::SddmmResult frag = core::sddmm(a, b, pattern, cfg, *plan);
-  cfg.replay = core::ReplayKernel::panel;
-  const core::SddmmResult panel = core::sddmm(a, b, pattern, cfg, *plan);
-  MAGICUBE_CHECK_MSG(frag.c.values == sim.c.values,
-                     "fragment/simulate result mismatch");
+  core::SddmmConfig sim_cfg = cfg, panel_cfg = cfg;
+  sim_cfg.mode = core::ExecMode::simulate;
+  panel_cfg.mode = core::ExecMode::fast;
+  const core::SddmmResult sim = core::sddmm(a, b, pattern, sim_cfg);
+  const core::SddmmResult panel = core::sddmm(a, b, pattern, panel_cfg, *plan);
   MAGICUBE_CHECK_MSG(panel.c.values == sim.c.values,
                      "panel/simulate result mismatch");
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
                      "fast/simulate counter mismatch");
 
-  core::SddmmConfig sim_cfg = cfg, frag_cfg = cfg, panel_cfg = cfg;
-  sim_cfg.mode = core::ExecMode::simulate;
-  sim_cfg.replay = std::nullopt;
-  frag_cfg.mode = panel_cfg.mode = core::ExecMode::fast;
-  frag_cfg.replay = core::ReplayKernel::fragment;
-  panel_cfg.replay = core::ReplayKernel::panel;
   time_engines(
       [&] { benchmark::DoNotOptimize(core::sddmm(a, b, pattern, sim_cfg)); },
-      [&] {
-        benchmark::DoNotOptimize(core::sddmm(a, b, pattern, frag_cfg, *plan));
-      },
       [&] {
         benchmark::DoNotOptimize(
             core::sddmm(a, b, pattern, panel_cfg, *plan));
       },
-      t.simulate, t.fragment, t.panel);
+      t.simulate, t.panel);
   t.useful_ops = core::sddmm_useful_ops(pattern, k);
   return t;
 }
@@ -274,11 +245,18 @@ bool g_smoke = false;
 /// Aggregates of the comparison table, exported through the
 /// BM_ReplayComparison entry of the google-benchmark JSON.
 struct Summary {
-  double vs_simulate = 0, vs_fragment = 0;
-  double max_cv_simulate = 0, max_cv_fragment = 0, max_cv_panel = 0;
+  double vs_simulate = 0;
+  double max_cv_simulate = 0, max_cv_panel = 0;
+  /// Useful GOPS of the panel replay over every shape (SpMM and SDDMM):
+  /// total useful ops / total panel seconds.
+  double panel_ops = 0, panel_seconds = 0;
   /// Useful GOPS of the panel replay per dominant bucket (the bucket most
   /// of a shape's block rows / blocks replay through).
   std::map<std::string, std::pair<double, double>> bucket_ops_seconds;
+
+  double panel_gops() const {
+    return panel_seconds > 0 ? panel_ops / panel_seconds / 1e9 : 0;
+  }
 };
 Summary g_summary;
 
@@ -290,20 +268,17 @@ std::size_t dominant(const std::array<std::uint64_t, N>& census) {
 
 void add_row(bench::Table& table, const char* op, PrecisionPair prec,
              const OpTimings& t, const std::string& bucket) {
-  const double sim = t.simulate.median(), frag = t.fragment.median();
-  const double panel = t.panel.median();
+  const double sim = t.simulate.median(), panel = t.panel.median();
   table.add_row({op, to_string(prec), bench::fmt(sim * 1e3, 3),
-                 bench::fmt(frag * 1e3, 3), bench::fmt(panel * 1e3, 3),
-                 bench::fmt(sim / panel, 2) + "x",
-                 bench::fmt(frag / panel, 2) + "x",
+                 bench::fmt(panel * 1e3, 3), bench::fmt(sim / panel, 2) + "x",
                  bench::fmt(100 * t.panel.cv(), 1) + "%",
                  bench::fmt(static_cast<double>(t.useful_ops) / panel / 1e9, 2),
                  bucket, bench::fmt(t.plan_build_s * 1e3, 3)});
   g_summary.max_cv_simulate = std::max(g_summary.max_cv_simulate,
                                        t.simulate.cv());
-  g_summary.max_cv_fragment = std::max(g_summary.max_cv_fragment,
-                                       t.fragment.cv());
   g_summary.max_cv_panel = std::max(g_summary.max_cv_panel, t.panel.cv());
+  g_summary.panel_ops += static_cast<double>(t.useful_ops);
+  g_summary.panel_seconds += panel;
   auto& [ops, seconds] = g_summary.bucket_ops_seconds[std::string(op) + "_" +
                                                       bucket];
   ops += static_cast<double>(t.useful_ops);
@@ -312,7 +287,7 @@ void add_row(bench::Table& table, const char* op, PrecisionPair prec,
 
 bool comparison_table(bool smoke) {
   const Shape shape = shape_for(smoke);
-  std::printf("== replay engines: panel vs fragment vs ExecMode::simulate"
+  std::printf("== plan replay: panel (ExecMode::fast) vs ExecMode::simulate"
               "%s (SIMD micro-kernel: %s; panel kernel flavor: %s) ==\n",
               smoke ? " [smoke]" : "",
               simt::simd_enabled() ? "on" : "off (scalar fallback)",
@@ -325,10 +300,10 @@ bool comparison_table(bool smoke) {
               "rounds; GOPS = useful ops / panel time\n\n",
               kTimingRounds, kMinWindowSeconds * 1e3);
 
-  bench::Table table({"op", "precision", "simulate (ms)", "fragment (ms)",
-                      "panel (ms)", "panel vs sim", "panel vs frag",
-                      "panel cv", "panel GOPS", "bucket", "plan build (ms)"});
-  double sim_total = 0, frag_total = 0, panel_total = 0;
+  bench::Table table({"op", "precision", "simulate (ms)", "panel (ms)",
+                      "panel vs sim", "panel cv", "panel GOPS", "bucket",
+                      "plan build (ms)"});
+  double sim_total = 0, panel_total = 0;
   std::array<std::uint64_t, simt::kSpmmBucketKinds> spmm_buckets{};
   std::array<std::uint64_t, simt::kSddmmBucketKinds> sddmm_buckets{};
 
@@ -341,7 +316,6 @@ bool comparison_table(bool smoke) {
         time_spmm(shape, prec, 0x916 + bits_of(prec.lhs) * 8u +
                                    static_cast<unsigned>(bits_of(prec.rhs)));
     sim_total += t.simulate.median();
-    frag_total += t.fragment.median();
     panel_total += t.panel.median();
     for (std::size_t i = 0; i < spmm_buckets.size(); ++i) {
       spmm_buckets[i] += t.spmm_buckets[i];
@@ -382,15 +356,14 @@ bool comparison_table(bool smoke) {
   for (const auto& [bucket, ops_s] : g_summary.bucket_ops_seconds) {
     std::printf(" %s=%.2f", bucket.c_str(), ops_s.first / ops_s.second / 1e9);
   }
-  std::printf("\nmax cv over shapes: simulate %.1f%%, fragment %.1f%%, "
-              "panel %.1f%%\n",
-              100 * g_summary.max_cv_simulate,
-              100 * g_summary.max_cv_fragment, 100 * g_summary.max_cv_panel);
+  std::printf("\naggregate panel GOPS over every shape: %.2f (useful ops / "
+              "panel time, on this host)",
+              g_summary.panel_gops());
+  std::printf("\nmax cv over shapes: simulate %.1f%%, panel %.1f%%\n",
+              100 * g_summary.max_cv_simulate, 100 * g_summary.max_cv_panel);
 
   const double vs_sim = sim_total / panel_total;
-  const double vs_frag = frag_total / panel_total;
   g_summary.vs_simulate = vs_sim;
-  g_summary.vs_fragment = vs_frag;
 
   const bench::Baselines bars = bench::load_baselines(
       MAGICUBE_BENCH_BASELINE_DIR, "plan_vs_simulate.json");
@@ -400,10 +373,9 @@ bool comparison_table(bool smoke) {
   const std::string prefix = std::string(smoke ? "smoke_" : "full_") +
                              (simt::simd_enabled() ? "simd_" : "scalar_");
   bool bars_ok = bars.loaded;
-  double sim_bar = 0, frag_bar = 0;
+  double sim_bar = 0;
   if (bars.loaded) {
     sim_bar = bars.get(prefix + "spmm_panel_vs_simulate_min", &bars_ok);
-    frag_bar = bars.get(prefix + "spmm_panel_vs_fragment_min", &bars_ok);
   }
 
   bool gate = true;
@@ -412,15 +384,10 @@ bool comparison_table(bool smoke) {
                 bars.path.c_str());
     gate = false;
   } else {
-    const bool sim_ok = vs_sim >= sim_bar;
-    const bool frag_ok = vs_frag >= frag_bar;
-    gate = sim_ok && frag_ok;
+    gate = vs_sim >= sim_bar;
     std::printf("\naggregate SpMM panel-vs-simulate speedup: %.2fx "
                 "(recorded bar: >= %.2fx) — %s\n",
-                vs_sim, sim_bar, sim_ok ? "PASS" : "FAIL");
-    std::printf("aggregate SpMM panel-vs-fragment speedup: %.2fx "
-                "(recorded bar: >= %.2fx) — %s\n",
-                vs_frag, frag_bar, frag_ok ? "PASS" : "FAIL");
+                vs_sim, sim_bar, gate ? "PASS" : "FAIL");
     std::printf("(bars recorded in %s; raise them by re-recording, not by "
                 "editing the gate)%s\n\n",
                 bars.path.c_str(),
@@ -457,7 +424,6 @@ void BM_SpmmPanelReplay(benchmark::State& state) {
   const auto b_vals = core::random_values(shape.k, shape.n, Scalar::s8, rng);
   core::SpmmConfig cfg;
   cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::panel;
   const auto a = core::prepare_spmm_lhs(pattern, a_vals, cfg.precision,
                                         core::needs_shuffle(cfg));
   const auto b = core::prepare_spmm_rhs(b_vals, cfg.precision);
@@ -473,26 +439,6 @@ void BM_SpmmPanelReplay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpmmPanelReplay)->Unit(benchmark::kMillisecond);
-
-void BM_SpmmFragmentReplay(benchmark::State& state) {
-  const Shape shape = shape_for(g_smoke);
-  Rng rng(1);
-  const auto pattern = sparse::make_uniform_pattern(shape.m, shape.k, shape.v,
-                                                    shape.sparsity, rng);
-  const auto a_vals = core::random_values(shape.m, shape.k, Scalar::s8, rng);
-  const auto b_vals = core::random_values(shape.k, shape.n, Scalar::s8, rng);
-  core::SpmmConfig cfg;
-  cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::fragment;
-  const auto a = core::prepare_spmm_lhs(pattern, a_vals, cfg.precision,
-                                        core::needs_shuffle(cfg));
-  const auto b = core::prepare_spmm_rhs(b_vals, cfg.precision);
-  const auto plan = core::build_spmm_plan(a, shape.n, cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::spmm(a, b, cfg, *plan));
-  }
-}
-BENCHMARK(BM_SpmmFragmentReplay)->Unit(benchmark::kMillisecond);
 
 void BM_SpmmPlanBuild(benchmark::State& state) {
   const Shape shape = shape_for(g_smoke);
@@ -518,7 +464,6 @@ void BM_SddmmPanelReplay(benchmark::State& state) {
   const auto b_vals = core::random_values(shape.k, shape.n, Scalar::s8, rng);
   core::SddmmConfig cfg;
   cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::panel;
   const auto a = core::prepare_dense(a_vals, Scalar::s8, true, 8);
   const auto b = core::prepare_dense(b_vals, Scalar::s8, false, 8);
   const auto plan = core::build_sddmm_plan(pattern, shape.k, cfg);
@@ -533,19 +478,18 @@ void BM_SddmmPanelReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_SddmmPanelReplay)->Unit(benchmark::kMillisecond);
 
-// The comparison table's aggregates as one JSON entry: the gated speedups,
-// the worst per-engine round-to-round CV, per-bucket panel GOPS, and the
-// dispatched panel-kernel flavor (as a context string).
+// The comparison table's aggregates as one JSON entry: the gated speedup,
+// the worst per-engine round-to-round CV, aggregate and per-bucket panel
+// GOPS, and the dispatched panel-kernel flavor (as a context string).
 void BM_ReplayComparison(benchmark::State& state) {
   for (auto _ : state) {
     double vs_simulate = g_summary.vs_simulate;
     benchmark::DoNotOptimize(vs_simulate);
   }
   state.counters["spmm_panel_vs_simulate"] = g_summary.vs_simulate;
-  state.counters["spmm_panel_vs_fragment"] = g_summary.vs_fragment;
   state.counters["cv_max_simulate"] = g_summary.max_cv_simulate;
-  state.counters["cv_max_fragment"] = g_summary.max_cv_fragment;
   state.counters["cv_max_panel"] = g_summary.max_cv_panel;
+  state.counters["gops_panel"] = g_summary.panel_gops();
   for (const auto& [bucket, ops_s] : g_summary.bucket_ops_seconds) {
     state.counters["gops_" + bucket] = ops_s.first / ops_s.second / 1e9;
   }

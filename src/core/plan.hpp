@@ -3,33 +3,33 @@
 // *computing*.
 //
 // Every core::spmm / core::sddmm call used to re-derive the tile geometry,
-// rebuild the data-independent lane address schedules, allocate per-block
-// scratch (accumulators, column sums, a fresh SharedMemory image) and
-// simulate all 32 lanes with per-instruction transaction counting. But the
-// schedules and the hardware-event counts depend only on the kernel
-// geometry and the SR-BCRS *structure* — never on operand values — so they
-// can be computed once per (sparsity pattern, kernel config) and replayed
-// against any number of value sets. This mirrors the paper's own design
-// separation (the SR-BCRS layout and Fig. 4/Fig. 10 maps are fixed by the
-// structure) and the tile-schedule precomputation of cuTeSpMM/FlashSparse.
+// allocate per-block scratch (accumulators, column sums, a fresh
+// SharedMemory image) and simulate all 32 lanes with per-instruction
+// transaction counting. But the operand schedules and the hardware-event
+// counts depend only on the kernel geometry and the SR-BCRS *structure* —
+// never on operand values — so they can be computed once per (sparsity
+// pattern, kernel config) and replayed against any number of value sets.
+// This mirrors the paper's own design separation (the SR-BCRS layout and
+// Fig. 4/Fig. 10 maps are fixed by the structure) and the tile-schedule
+// precomputation of cuTeSpMM/FlashSparse.
 //
 // An execution plan captures exactly the data-independent half:
-//   * the lane schedules of every phase — LHS fragment sources (plane +
-//     word per lane, Fig. 10b stacking baked in), RHS gather rows and word
-//     columns of the online transpose, and per-slot RHS row byte bases —
-//     with the shared-memory word map already folded into them;
+//   * the panel schedules of the replay — which LHS plane row feeds each
+//     mma A row (Fig. 10b stacking and the bias-encoded top plane baked
+//     in), the per-slot RHS row byte bases, the int4 index-shuffle inverse
+//     — and the replay micro-kernel bucket of every block row / block;
 //   * the full simt::KernelRun (launch shape, pipeline shape and
 //     KernelCounters including compulsory DRAM traffic), computed
 //     analytically from the structure.
 //
-// ExecMode::fast (the default) replays the schedules with little-endian
-// SWAR word gathers straight from the packed plane buffers and an
-// uncounted decode-once mma, reusing thread-local scratch arenas across
-// blocks and run_grid calls. Outputs are bit-exact with the lane-accurate
-// simulation and the analytic counters match the simulated counts exactly
-// (asserted per precision pair x variant by tests/test_plan.cpp).
-// ExecMode::simulate keeps the original instruction-level path as the
-// reference and counter validator.
+// ExecMode::fast (the default) is the one fast path: it replays the plan
+// with the bucket micro-kernels of simt/tensor_core.hpp straight from the
+// packed plane buffers, reusing thread-local scratch arenas across rows and
+// calls. Outputs are bit-exact with the lane-accurate simulation and the
+// analytic counters match the simulated counts exactly (asserted per
+// precision pair x variant by tests/test_plan.cpp). ExecMode::simulate
+// keeps the original instruction-level path as the reference and counter
+// validator.
 //
 // The serving engine caches plans in serve::OperandCache next to the
 // prepared operands (plan bytes charged to the same LRU budget), so
@@ -65,43 +65,17 @@ const char* to_string(ExecMode m);
 ExecMode default_exec_mode();
 void set_default_exec_mode(ExecMode m);
 
-/// Which replay implementation ExecMode::fast runs.
-///
-///   panel    — block-panel engine: operand plane groups are decoded or
-///              packed once per stride tile into contiguous thread-local
-///              panel arenas and multiplied with the simt panel
-///              micro-kernels (simt::mma_panel_n64 / simt::mma_panel /
-///              simt::dot_packed), one invocation covering all adjacent
-///              8-column mma tiles of a block. The default.
-///   fragment — the PR-3 per-fragment replay (lane-schedule word gathers,
-///              register transpose, one scalar mma_decoded per 8x8 tile).
-///              Kept as the in-tree comparison point and second reference.
-///
-/// Both kernels replay the same plan and are bit-exact with each other and
-/// with ExecMode::simulate (asserted by tests/test_plan.cpp and inline by
-/// bench/plan_vs_simulate before timing).
-enum class ReplayKernel : std::uint8_t { panel, fragment };
-
-const char* to_string(ReplayKernel k);
-
-/// Process-wide default used when a config leaves `replay` unset.
-/// Initialized from MAGICUBE_REPLAY_KERNEL ("panel" or "fragment") on first
-/// use; panel otherwise. set_default_replay_kernel overrides at runtime.
-ReplayKernel default_replay_kernel();
-void set_default_replay_kernel(ReplayKernel k);
-
 /// Replay micro-kernel bucket of one SpMM block row, classified at
-/// plan-build time from the row's (shape, precision, v-stack depth,
-/// column-panel width) and recorded in SpmmPlan::row_kernel. The panel
-/// replay engine dispatches each row to its bucket's specialized kernel;
-/// every bucket is bit-exact mod 2^32 with the generic path (asserted by
-/// tests/test_tensor_core_panel.cpp and tests/test_plan.cpp).
+/// plan-build time from the row's (shape, precision, v-stack depth) and
+/// recorded in SpmmPlan::row_kernel. ExecMode::fast dispatches each row to
+/// its bucket's kernel; every bucket is bit-exact mod 2^32 with
+/// ExecMode::simulate (asserted by tests/test_tensor_core_panel.cpp and
+/// tests/test_plan.cpp).
 enum class PanelKernelId : std::uint8_t {
-  generic = 0,  // runtime-width mma_panel (bsn != 64)
-  fixed64 = 1,  // compile-time 64-wide panels, full stacked plane groups
-  stacked = 2,  // 64-wide with a partial last stacked group (row-limited)
-  fused = 3,    // single group x single RHS plane: fused pack+mma
-  empty = 4,    // structurally empty row — no reduction steps at all
+  fixed64 = 0,  // 64-wide byte panels, full stacked plane groups
+  stacked = 1,  // 64-wide with a partial last stacked group (row-limited)
+  fused = 2,    // single group x single RHS plane: fused pack+mma
+  empty = 3,    // structurally empty row — no reduction steps at all
 };
 
 const char* to_string(PanelKernelId id);
@@ -116,7 +90,7 @@ enum class SddmmKernelId : std::uint8_t {
 
 const char* to_string(SddmmKernelId id);
 
-inline constexpr int kPanelKernelIds = 5;
+inline constexpr int kPanelKernelIds = 4;
 inline constexpr int kSddmmKernelIds = 3;
 // counters.hpp fixes the bucket-counter array widths without seeing these
 // enums (the simt layer sits below the plan layer); keep them in lock step.
@@ -124,17 +98,6 @@ static_assert(kPanelKernelIds == simt::kSpmmBucketKinds,
               "PanelKernelId out of sync with simt::kSpmmBucketKinds");
 static_assert(kSddmmKernelIds == simt::kSddmmBucketKinds,
               "SddmmKernelId out of sync with simt::kSddmmBucketKinds");
-
-/// Whether ExecMode::fast panel replay dispatches the per-bucket
-/// specialized micro-kernels (the default) or forces the generic
-/// mma_panel path for every SpMM row and the generic SDDMM body for every
-/// block. Plans always *record* buckets —
-/// the toggle affects dispatch only, so flipping it replays the same plan
-/// bit-exactly (the plan-equivalence property tests lean on this).
-/// Initialized from MAGICUBE_PANEL_BUCKETS ("on" or "off") on first use;
-/// on otherwise. set_default_panel_buckets overrides at runtime.
-bool default_panel_buckets();
-void set_default_panel_buckets(bool on);
 
 namespace detail {
 
@@ -261,22 +224,13 @@ SddmmEpilogueCounts sddmm_epilogue_counts(const SddmmGeom& g,
 /// Plan-time bucket classification of one SpMM block row with `steps`
 /// reduction steps — shared verbatim by the plan builder, the analytic
 /// estimator (bucket counters must agree exactly for the pricing parity
-/// the SLA layer asserts) and the replay dispatch.
+/// the SLA layer asserts) and the replay dispatch. Every bucket kernel is
+/// 64 columns wide; plan building and estimation reject any other bsn
+/// before classifying.
 PanelKernelId classify_spmm_row(const SpmmGeom& g, std::uint64_t steps);
 
 /// Same for one SDDMM thread block holding `valid` pattern vectors.
 SddmmKernelId classify_sddmm_block(const SddmmGeom& g, std::uint64_t valid);
-
-/// Little-endian 32-bit gather from a packed plane byte buffer: the SWAR
-/// word op of the fast path. Operand words are epw elements of chunk bits
-/// packed element-0-lowest, i.e. exactly the little-endian bytes the
-/// PackedBuffer stores, so one 4-byte read replaces epw get_raw bit loops.
-inline std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 }  // namespace detail
 
@@ -294,32 +248,14 @@ struct SpmmPlan {
   /// Analytic launch + pipeline + counters (DRAM included) of one replay.
   simt::KernelRun run;
 
-  /// LHS fragment schedule: for plane group `grp`, lane `t` loads word
-  /// `word` of plane `plane`'s current stride tile (word < 0: inactive).
-  struct LaneSrc {
-    std::int8_t plane = -1;
-    std::int8_t word = -1;
-  };
-  std::vector<std::array<LaneSrc, 32>> a_frag_src;  // [group][lane]
-  /// Lanes of the last group whose word belongs to the signed top plane
-  /// (bias-encoded with the msb mask before the mma).
-  std::array<std::uint8_t, 32> bias_lane{};
-
-  /// RHS gather schedule of the online transpose: during fragment phase
-  /// `ph`, lane `t` reads stride row rhs_k_row[ph][t] at word column
-  /// rhs_word_col[w * phases + ph][t].
-  std::vector<std::array<std::int8_t, 32>> rhs_k_row;     // [phase][lane]
-  std::vector<std::array<std::int8_t, 32>> rhs_word_col;  // [w*phases+ph][lane]
-
   /// Per-slot RHS row byte base (col * N * chunk / 8), kNoRhsRow for
   /// padding — the SR-BCRS column indices resolved once.
   std::vector<std::size_t> rhs_row_base;
 
-  /// Panel replay schedule: the lane schedules above flattened to tile
-  /// coordinates. For plane group `grp`, panel row `rr` (0..7, the mma A
-  /// row with Fig. 10b plane stacking baked in) decodes LHS plane `plane`,
-  /// tile row `row` (both < 0: inactive, zero row); `biased` rows
-  /// bias-encode the stacked signed top plane before the unsigned decode.
+  /// Panel replay schedule. For plane group `grp`, panel row `rr` (0..7,
+  /// the mma A row with Fig. 10b plane stacking baked in) loads LHS plane
+  /// `plane`, tile row `row` (both < 0: inactive, zero row); `biased` rows
+  /// bias-encode the stacked signed top plane before the unsigned load.
   /// The RHS panel needs no schedule of its own — rhs_row_base already
   /// names each stride row's bytes, and a block's bsn columns are
   /// contiguous in the plane buffer.
@@ -368,10 +304,6 @@ struct SddmmPlan {
   detail::SddmmGeom geom;
   simt::KernelRun run;
   detail::SddmmBlockMap map;
-
-  /// LHS fragment schedule: lane `t` reads word `t % 4` of tile row
-  /// a_row[t] (< 0: inactive, V < 8).
-  std::array<std::int8_t, 32> a_row{};
 
   /// Per-pattern-vector RHS column byte base (col * K * chunk / 8).
   std::vector<std::size_t> rhs_col_base;

@@ -18,6 +18,11 @@
 // load chain each step is the *RHS register load*, which stays on the
 // critical path either way, while the duplicated buffer raises the block's
 // shared-memory footprint. The cost model reflects exactly that.
+//
+// sddmm() executes in one of two modes (ExecMode, plan.hpp): `simulate`
+// runs every lane of every block as the reference; `fast` replays an
+// execution plan through its per-block bucket kernels (whole-depth packed
+// dots), the one fast path, bit-exact with simulate.
 
 #include <cstdint>
 #include <optional>
@@ -38,10 +43,6 @@ struct SddmmConfig {
   /// MAGICUBE_EXEC_MODE / set_default_exec_mode says otherwise). Both modes
   /// produce bit-exact results and identical counters.
   std::optional<ExecMode> mode = std::nullopt;
-  /// Fast-path replay kernel; unset defers to default_replay_kernel()
-  /// (panel unless MAGICUBE_REPLAY_KERNEL says otherwise). Panel and
-  /// fragment replay are bit-exact with each other and with simulate.
-  std::optional<ReplayKernel> replay = std::nullopt;
 };
 
 struct SddmmResult {

@@ -30,7 +30,6 @@ using simt::LaneWords;
 using simt::WarpReg;
 
 using Geom = detail::SpmmGeom;
-using detail::load_le32;
 using detail::stack_shfls;
 
 int output_col(const Geom& g, int mma, int tile_col) {
@@ -38,8 +37,9 @@ int output_col(const Geom& g, int mma, int tile_col) {
                     : spmm_output_col_int8(mma, tile_col);
 }
 
-// ---- Value helpers shared by the simulated and fast paths -----------------
-// Pure data transformations; event counting stays with each caller.
+// ---- Value helpers of the simulated kernel --------------------------------
+// Pure data transformations; event counting stays with the caller.
+// lhs_group_signed also names the A domains of the replay.
 
 /// Register transpose of one loaded RHS phase set (Fig. 5 / Fig. 7):
 /// b_regs[lane][i] = fragment register of mma i for this lane.
@@ -108,7 +108,7 @@ bool lhs_group_signed(const Geom& g, const SparseOperand& a, int grp) {
 }
 
 /// Weighted plane combine + writeback of one block's accumulators (the
-/// value half of the epilogue; callers add the event counts).
+/// value half of the epilogue; the caller adds the event counts).
 void spmm_value_epilogue(const Geom& g, const SparseOperand& a,
                          const DenseOperand& b, const AccumFrag* acc,
                          const std::int64_t* colsum, std::size_t r,
@@ -337,8 +337,8 @@ void run_block(simt::BlockContext& ctx, const BlockArgs& args) {
           LaneAddrs sa;
           sa.fill(simt::kInactiveLane);
           for (int lane = 0; lane < 32; ++lane) {
-            const int word_col = spmm_rhs_word_col(g.int4path, w, lane);
-            const int k_row = spmm_rhs_k_row(g.int4path, ph, lane);
+            const int word_col = spmm_rhs_tile_word(g.int4path, w, lane);
+            const int k_row = spmm_rhs_stride_row(g.int4path, ph, lane);
             sa[static_cast<std::size_t>(lane)] =
                 g.rhs_base +
                 static_cast<std::size_t>(qq) * g.layout.total_words() +
@@ -413,170 +413,29 @@ void run_block(simt::BlockContext& ctx, const BlockArgs& args) {
   kc.syncthreads += 1;
 }
 
-// ---- Fast path: value-only plan replay ------------------------------------
-
-/// Thread-local scratch arena reused across blocks and run_grid calls (the
-/// fast path never allocates per block).
-struct SpmmScratch {
-  std::vector<AccumFrag> acc;
-  std::vector<std::int64_t> colsum;
-  std::vector<simt::DecodedFrag> a_dec;       // one per plane group
-  std::array<simt::DecodedFrag, 4> b_dec{};   // one per mma index
-};
-
-SpmmScratch& spmm_scratch() {
-  thread_local SpmmScratch scratch;
-  return scratch;
-}
-
-void fast_block(std::size_t blk, const SparseOperand& a,
-                const DenseOperand& b, const SpmmPlan& plan,
-                Matrix<std::int32_t>& c) {
-  const Geom& g = plan.geom;
-  const sparse::SrBcrs& sr = a.structure;
-  const std::size_t r = blk / g.col_blocks;
-  const std::size_t cb = blk % g.col_blocks;
-  const std::size_t steps = sr.strides_in_row(r);
-  const std::size_t stride = static_cast<std::size_t>(g.stride);
-  const std::size_t v = static_cast<std::size_t>(g.v);
-  const std::size_t chunk = static_cast<std::size_t>(g.chunk);
-
-  SpmmScratch& s = spmm_scratch();
-  s.acc.assign(static_cast<std::size_t>(2 * g.g * g.q * 4), AccumFrag{});
-  s.colsum.assign(
-      g.bias_correct ? static_cast<std::size_t>(2 * g.q * 32) : 0, 0);
-  s.a_dec.resize(static_cast<std::size_t>(g.g));
-  auto acc_at = [&](int w, int grp, int qq, int mma) -> AccumFrag& {
-    return s.acc[static_cast<std::size_t>(
-        ((w * g.g + grp) * g.q + qq) * 4 + mma)];
-  };
-
-  const std::size_t cb_byte = cb * g.bsn * chunk / 8;
-  const std::uint32_t msb_mask = g.chunk == 4 ? 0x88888888u : 0x80808080u;
-
-  for (std::size_t st = 0; st < steps; ++st) {
-    const std::size_t slot_base = sr.first_ptr[r] + st * stride;
-    const std::size_t lhs_byte = slot_base * v * chunk / 8;
-
-    // LHS fragments: the staged stride tile is a contiguous copy of the
-    // plane bytes, so the schedule gathers words straight from them. Both
-    // warps load identical fragments — gathered and decoded once per step.
-    for (int grp = 0; grp < g.g; ++grp) {
-      WarpReg frag{};
-      const auto& srcs = plan.a_frag_src[static_cast<std::size_t>(grp)];
-      const bool biased = g.bias_correct && grp == g.g - 1;
-      for (int lane = 0; lane < 32; ++lane) {
-        const SpmmPlan::LaneSrc src = srcs[static_cast<std::size_t>(lane)];
-        std::uint32_t word = 0;
-        if (src.word >= 0) {
-          word = load_le32(
-              a.planes[static_cast<std::size_t>(src.plane)].values.data() +
-              lhs_byte + 4u * static_cast<unsigned>(src.word));
-          if (biased && plan.bias_lane[static_cast<std::size_t>(lane)]) {
-            word ^= msb_mask;
-          }
-        }
-        frag[static_cast<std::size_t>(lane)] = word;
-      }
-      simt::DecodedFrag& dec = s.a_dec[static_cast<std::size_t>(grp)];
-      if (g.int4path) {
-        simt::decode_frag_int4(frag, lhs_group_signed(g, a, grp), dec);
-      } else {
-        simt::decode_frag_int8(frag, lhs_group_signed(g, a, grp), dec);
-      }
-    }
-
-    for (int w = 0; w < 2; ++w) {
-      for (int qq = 0; qq < g.q; ++qq) {
-        const std::uint8_t* b_bytes =
-            b.planes[static_cast<std::size_t>(qq)].values.data();
-        std::array<std::array<std::uint32_t, 8>, 32> loaded{};
-        for (int ph = 0; ph < g.phases; ++ph) {
-          const auto& k_row = plan.rhs_k_row[static_cast<std::size_t>(ph)];
-          const auto& word_col =
-              plan.rhs_word_col[static_cast<std::size_t>(w * g.phases + ph)];
-          for (int lane = 0; lane < 32; ++lane) {
-            const std::size_t base = plan.rhs_row_base
-                [slot_base +
-                 static_cast<std::size_t>(k_row[static_cast<std::size_t>(lane)])];
-            loaded[static_cast<std::size_t>(lane)]
-                  [static_cast<std::size_t>(ph)] =
-                base == kNoRhsRow
-                    ? 0
-                    : load_le32(b_bytes + base + cb_byte +
-                                4u * static_cast<unsigned>(
-                                         word_col[static_cast<std::size_t>(
-                                             lane)]));
-          }
-        }
-
-        std::array<std::array<std::uint32_t, 4>, 32> b_regs{};
-        transpose_b_regs(g, loaded, b_regs);
-        if (g.bias_correct) {
-          update_colsum(g, b_regs,
-                        b.planes[static_cast<std::size_t>(qq)].is_signed, w,
-                        qq, s.colsum.data());
-        }
-
-        // Decode each mma's RHS fragment once; every plane group reuses it.
-        const bool b_signed =
-            b.planes[static_cast<std::size_t>(qq)].is_signed;
-        for (int mma = 0; mma < 4; ++mma) {
-          WarpReg b_frag{};
-          for (int lane = 0; lane < 32; ++lane) {
-            b_frag[static_cast<std::size_t>(lane)] =
-                b_regs[static_cast<std::size_t>(lane)]
-                      [static_cast<std::size_t>(mma)];
-          }
-          simt::DecodedFrag& dec = s.b_dec[static_cast<std::size_t>(mma)];
-          if (g.int4path) {
-            simt::decode_frag_int4(b_frag, b_signed, dec);
-          } else {
-            simt::decode_frag_int8(b_frag, b_signed, dec);
-          }
-        }
-        for (int grp = 0; grp < g.g; ++grp) {
-          for (int mma = 0; mma < 4; ++mma) {
-            simt::mma_decoded(acc_at(w, grp, qq, mma),
-                              s.a_dec[static_cast<std::size_t>(grp)],
-                              s.b_dec[static_cast<std::size_t>(mma)]);
-          }
-        }
-      }
-    }
-  }
-
-  spmm_value_epilogue(g, a, b, s.acc.data(), s.colsum.data(), r, cb, c);
-}
-
-// ---- Panel fast path: block-panel replay ----------------------------------
+// ---- Fast path: block-panel replay of an execution plan ------------------
 //
 // One invocation of a panel micro-kernel per (plane group, RHS plane, step)
-// covers a block's whole bsn-column tile — all 8 adjacent 8-column mma
-// tiles that the fragment replay walked one scalar mma_decoded at a time
-// (2 warps x 4 mma). Replay runs one job per *block row*: the row's A
-// panels (every step x plane group) decode once into a per-row arena and
-// all of the row's column blocks replay from it — the per-(row, cb) grid
-// re-decoded the identical A bytes col_blocks times. Jobs write disjoint C
-// rows, so the per-row grid parallelizes exactly like the per-block one.
+// covers a block's whole 64-column tile — all 8 adjacent 8-column mma
+// tiles of the block's 2 warps x 4 mma. Replay runs one job per *block
+// row*: the row's A panels (every step x plane group) load once into a
+// per-row arena and all of the row's column blocks replay from it. Jobs
+// write disjoint C rows, so the per-row grid parallelizes exactly like the
+// per-block one.
 //
 // Each row dispatches the replay kernel its plan-time bucket named
-// (SpmmPlan::row_kernel). The bsn==64 buckets run on byte operands: each
-// step packs its B rows once per RHS plane (simt::pack_panel_b, in the
-// layout of the flavor simt dispatched to) and multiplies them with
-// per-group active-row limits; the dominant single-group/single-plane
-// bucket fuses pack and multiply (no panel arena, no column sums). The
-// runtime-width generic kernel decodes to 32-bit panels. All buckets are
-// bit-exact mod 2^32 with the generic path; MAGICUBE_PANEL_BUCKETS=off
-// forces generic.
+// (SpmmPlan::row_kernel). The kernels run on byte operands: each step packs
+// its B rows once per RHS plane (simt::pack_panel_b, in the layout of the
+// flavor simt dispatched to) and multiplies them with per-group active-row
+// limits; the dominant single-group/single-plane bucket fuses pack and
+// multiply (no panel arena, no column sums). Every bucket is bit-exact
+// mod 2^32 with ExecMode::simulate.
 
 struct SpmmPanelScratch {
-  std::vector<std::uint32_t> acc;        // [group][q][8 rows][bsn] wrapping
-  std::vector<std::int64_t> colsum;      // [q][bsn] bias-correction sums
-  std::vector<simt::DecodedFrag> a_dec;  // [step][plane group] (generic)
-  std::vector<simt::PanelA> a_panel;     // [step][plane group] (buckets)
-  std::vector<simt::PanelB> b_packed;    // [q] one step's B rows (buckets)
-  std::vector<std::int32_t> b_panel;     // [q][stride][bsn] (generic)
+  std::vector<std::uint32_t> acc;      // [group][q][8 rows][bsn] wrapping
+  std::vector<std::int64_t> colsum;    // [q][bsn] bias-correction sums
+  std::vector<simt::PanelA> a_panel;   // [step][plane group]
+  std::vector<simt::PanelB> b_packed;  // [q] one step's B rows
 };
 
 SpmmPanelScratch& spmm_panel_scratch() {
@@ -625,7 +484,7 @@ void spmm_panel_epilogue(const Geom& g, const SparseOperand& a,
 }
 
 void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
-               const SpmmPlan& plan, bool buckets, Matrix<std::int32_t>& c) {
+               const SpmmPlan& plan, Matrix<std::int32_t>& c) {
   const Geom& g = plan.geom;
   const sparse::SrBcrs& sr = a.structure;
   const std::size_t steps = sr.strides_in_row(r);
@@ -635,39 +494,27 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
   const std::size_t n = g.bsn;
   const bool int4 = g.int4path;
 
-  const PanelKernelId row_id =
-      buckets ? static_cast<PanelKernelId>(plan.row_kernel[r])
-              : PanelKernelId::generic;
-  // A structurally empty row contributes nothing: C was zero-initialized,
-  // and replaying zero steps through the generic path writes only zeros.
+  const PanelKernelId row_id = static_cast<PanelKernelId>(plan.row_kernel[r]);
+  // A structurally empty row contributes nothing: C was zero-initialized.
   if (row_id == PanelKernelId::empty || steps == 0) return;
-  const bool generic = row_id == PanelKernelId::generic;
 
   SpmmPanelScratch& s = spmm_panel_scratch();
-  const std::size_t a_count = steps * static_cast<std::size_t>(g.g);
-  if (generic) {
-    s.a_dec.resize(a_count);
-    s.b_panel.resize(static_cast<std::size_t>(g.q) * stride * n);
-  } else {
-    s.a_panel.resize(a_count);
-    s.b_packed.resize(static_cast<std::size_t>(g.q));
-  }
+  s.a_panel.resize(steps * static_cast<std::size_t>(g.g));
+  s.b_packed.resize(static_cast<std::size_t>(g.q));
 
   const std::size_t tile_row_bytes = stride * chunk / 8;
 
   // Active panel rows of each plane group form a prefix (rr = lp * V + rb
-  // with lp < group_size), so the bucket kernels load and multiply only
-  // those, not the zero rows the generic kernel pays for.
+  // with lp < group_size), so the kernels load and multiply only those.
   std::array<int, 8> active_rows{};
   for (int grp = 0; grp < g.g; ++grp) {
     active_rows[static_cast<std::size_t>(grp)] =
         std::min(8, g.group_size(grp) * g.v);
   }
 
-  // Decode-once A arena: every step's plane-group panels decode one time
-  // for the whole row (plane stacking baked into the schedule); all
-  // col_blocks column tiles replay from the arena. The per-(row, cb) grid
-  // re-decoded these identical bytes once per column block.
+  // Load-once A arena: every step's plane-group panels load one time for
+  // the whole row (plane stacking baked into the schedule); all col_blocks
+  // column tiles replay from the arena.
   unsigned a_signs = 0;  // A byte domains the row's groups multiply B in
   for (int grp = 0; grp < g.g; ++grp) {
     a_signs |= lhs_group_signed(g, a, grp) ? simt::kPanelASigned
@@ -677,45 +524,19 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
     const std::size_t lhs_byte =
         (sr.first_ptr[r] + st * stride) * v * chunk / 8;
     for (int grp = 0; grp < g.g; ++grp) {
-      const std::size_t at = st * static_cast<std::size_t>(g.g) +
-                             static_cast<std::size_t>(grp);
-      const bool grp_signed = lhs_group_signed(g, a, grp);
+      simt::PanelA& pa = s.a_panel[st * static_cast<std::size_t>(g.g) +
+                                   static_cast<std::size_t>(grp)];
+      pa.k = static_cast<int>(stride);
+      pa.is_signed = lhs_group_signed(g, a, grp);
       const auto& rows = plan.a_panel_src[static_cast<std::size_t>(grp)];
-      simt::DecodedFrag* dec = generic ? &s.a_dec[at] : nullptr;
-      simt::PanelA* pa = generic ? nullptr : &s.a_panel[at];
-      if (generic) {
-        dec->k = static_cast<int>(stride);
-      } else {
-        pa->k = static_cast<int>(stride);
-        pa->is_signed = grp_signed;
-      }
-      const int panel_rows =
-          generic ? 8 : active_rows[static_cast<std::size_t>(grp)];
-      for (int rr = 0; rr < panel_rows; ++rr) {
+      for (int rr = 0; rr < active_rows[static_cast<std::size_t>(grp)]; ++rr) {
         const SpmmPlan::PanelRow src = rows[static_cast<std::size_t>(rr)];
         const std::uint8_t* bytes = nullptr;  // an empty panel row
         if (src.row >= 0) {
           bytes = a.planes[static_cast<std::size_t>(src.plane)].values.data() +
                   lhs_byte + static_cast<std::size_t>(src.row) * tile_row_bytes;
         }
-        if (!generic) {
-          simt::load_panel_a_row(bytes, int4, src.biased, rr, *pa);
-          continue;
-        }
-        std::int32_t* dst = dec->v[static_cast<std::size_t>(rr)].data();
-        if (bytes == nullptr) {
-          std::fill_n(dst, stride, 0);
-        } else if (int4) {
-          if (src.biased) {
-            simt::decode_span_int4_biased(bytes, stride, dst);
-          } else {
-            simt::decode_span_int4(bytes, stride, grp_signed, dst);
-          }
-        } else if (src.biased) {
-          simt::decode_span_int8_biased(bytes, stride, dst);
-        } else {
-          simt::decode_span_int8(bytes, stride, grp_signed, dst);
-        }
+        simt::load_panel_a_row(bytes, int4, src.biased, rr, pa);
       }
     }
   }
@@ -750,52 +571,25 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
                                      int4, bplane.is_signed, active_rows[0]);
           continue;
         }
-        std::int64_t* cs = g.bias_correct
-                               ? s.colsum.data() +
-                                     static_cast<std::size_t>(qq) * n
-                               : nullptr;
-        if (generic) {
-          std::int32_t* panel =
-              s.b_panel.data() + static_cast<std::size_t>(qq) * stride * n;
-          for (std::size_t k = 0; k < stride; ++k) {
-            std::int32_t* row = panel + k * n;
-            if (rows[k] == nullptr) {
-              std::fill_n(row, n, 0);
-            } else if (int4) {
-              simt::decode_span_int4(rows[k], n, bplane.is_signed, row);
-            } else {
-              simt::decode_span_int8(rows[k], n, bplane.is_signed, row);
-            }
-            if (cs != nullptr) simt::colsum_update(row, cs, n);
-          }
-        } else {
-          simt::PanelB& packed = s.b_packed[static_cast<std::size_t>(qq)];
-          simt::pack_panel_b(rows.data(), static_cast<int>(stride), int4,
-                             bplane.is_signed, a_signs, packed);
-          if (cs != nullptr) simt::panel_colsum(packed, cs);
+        simt::PanelB& packed = s.b_packed[static_cast<std::size_t>(qq)];
+        simt::pack_panel_b(rows.data(), static_cast<int>(stride), int4,
+                           bplane.is_signed, a_signs, packed);
+        if (g.bias_correct) {
+          simt::panel_colsum(
+              packed, s.colsum.data() + static_cast<std::size_t>(qq) * n);
         }
       }
       if (row_id == PanelKernelId::fused) continue;
 
       // MAC: one panel invocation per (group, RHS plane) replaces the
-      // step's 2 warps x 4 scalar mma_decoded issues. The bucket kernels
-      // run with per-group row limits; generic keeps the runtime-width
-      // path over all 8 rows.
+      // step's 2 warps x 4 mma issues, limited to the group's active rows.
       for (int grp = 0; grp < g.g; ++grp) {
         for (int qq = 0; qq < g.q; ++qq) {
-          std::uint32_t* acc =
-              s.acc.data() + static_cast<std::size_t>(grp * g.q + qq) * 8 * n;
-          if (generic) {
-            simt::mma_panel(
-                acc, s.a_dec[a_at + static_cast<std::size_t>(grp)],
-                s.b_panel.data() + static_cast<std::size_t>(qq) * stride * n,
-                static_cast<int>(n));
-          } else {
-            simt::mma_panel_n64(
-                acc, s.a_panel[a_at + static_cast<std::size_t>(grp)],
-                s.b_packed[static_cast<std::size_t>(qq)],
-                active_rows[static_cast<std::size_t>(grp)]);
-          }
+          simt::mma_panel_n64(
+              s.acc.data() + static_cast<std::size_t>(grp * g.q + qq) * 8 * n,
+              s.a_panel[a_at + static_cast<std::size_t>(grp)],
+              s.b_packed[static_cast<std::size_t>(qq)],
+              active_rows[static_cast<std::size_t>(grp)]);
         }
       }
     }
@@ -838,11 +632,16 @@ SpmmResult run_simulate(const SparseOperand& a, const DenseOperand& b,
   result.run = simt::run_grid(
       launch, [&](simt::BlockContext& ctx) { run_block(ctx, args); });
 
-  // Pipeline shape + compulsory DRAM traffic.
+  // Pipeline shape, compulsory DRAM traffic and the bucket census the plan
+  // would record, so the modeled price does not depend on the exec mode.
   std::uint64_t total_steps = 0, valid_vectors = 0;
   for (std::size_t r = 0; r < sr.vector_rows(); ++r) {
     total_steps += sr.strides_in_row(r);
     valid_vectors += sr.valid_vectors_in_row(r);
+    const PanelKernelId id =
+        detail::classify_spmm_row(g, sr.strides_in_row(r));
+    result.run.counters.spmm_bucket_blocks[static_cast<std::size_t>(id)] +=
+        g.col_blocks;
   }
   result.run.pipeline.total_steps = total_steps * g.col_blocks;
   result.run.pipeline.prefetch = g.prefetch;
@@ -852,8 +651,7 @@ SpmmResult run_simulate(const SparseOperand& a, const DenseOperand& b,
 }
 
 SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
-                    const SpmmConfig& cfg, const SpmmPlan& plan) {
-  const ReplayKernel kernel = cfg.replay.value_or(default_replay_kernel());
+                    const SpmmPlan& plan) {
   const Geom& g = plan.geom;
   MAGICUBE_CHECK_MSG(g.n == b.cols && g.k == b.rows,
                      "execution plan built for a different problem shape");
@@ -884,28 +682,28 @@ SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
                        "execution plan built for a different sparsity "
                        "structure — plans are per pattern fingerprint");
   }
-  (void)cfg;
+  // Replay dispatches on the plan's schedules and per-row bucket ids, so a
+  // plan that lacks them (or names a bucket past the last kernel) is
+  // rejected here rather than indexed out of range.
+  MAGICUBE_CHECK_MSG(plan.a_panel_src.size() == static_cast<std::size_t>(g.g),
+                     "execution plan carries no panel schedule");
+  MAGICUBE_CHECK_MSG(plan.row_kernel.size() == a.structure.vector_rows(),
+                     "execution plan has " << plan.row_kernel.size()
+                         << " row kernel ids for "
+                         << a.structure.vector_rows() << " block rows");
+  for (const std::uint8_t id : plan.row_kernel) {
+    MAGICUBE_CHECK_MSG(id < kPanelKernelIds,
+                       "execution plan names unknown SpMM replay kernel "
+                           << static_cast<int>(id));
+  }
 
   SpmmResult result;
   result.c = Matrix<std::int32_t>(a.structure.rows, b.cols, 0);
-  if (kernel == ReplayKernel::panel) {
-    MAGICUBE_CHECK_MSG(plan.a_panel_src.size() ==
-                           static_cast<std::size_t>(g.g),
-                       "plan carries no panel schedule");
-    // One job per block row (decode-once A arena shared by the row's
-    // column blocks); rows write disjoint C ranges. Bucket dispatch needs
-    // the plan's per-row kernel ids; without them (or with the toggle off)
-    // every row runs the generic kernel — bit-exact either way.
-    const bool buckets = default_panel_buckets() &&
-                         plan.row_kernel.size() == a.structure.vector_rows();
-    simt::run_grid_values(a.structure.vector_rows(), [&](std::size_t r) {
-      panel_row(r, a, b, plan, buckets, result.c);
-    });
-  } else {
-    simt::run_grid_values(plan.run.launch.grid_blocks, [&](std::size_t blk) {
-      fast_block(blk, a, b, plan, result.c);
-    });
-  }
+  // One job per block row (load-once A arena shared by the row's column
+  // blocks); rows write disjoint C ranges.
+  simt::run_grid_values(a.structure.vector_rows(), [&](std::size_t r) {
+    panel_row(r, a, b, plan, result.c);
+  });
   result.run = plan.run;
   return result;
 }
@@ -917,7 +715,7 @@ SpmmResult spmm(const SparseOperand& a, const DenseOperand& b,
   validate_spmm_inputs(a, b, cfg);
   if (cfg.mode.value_or(default_exec_mode()) == ExecMode::fast) {
     const SpmmPlanHandle plan = build_spmm_plan(a, b.cols, cfg);
-    return run_fast(a, b, cfg, *plan);
+    return run_fast(a, b, *plan);
   }
   return run_simulate(a, b, cfg);
 }
@@ -928,7 +726,7 @@ SpmmResult spmm(const SparseOperand& a, const DenseOperand& b,
   if (cfg.mode.value_or(default_exec_mode()) == ExecMode::simulate) {
     return run_simulate(a, b, cfg);
   }
-  return run_fast(a, b, cfg, plan);
+  return run_fast(a, b, plan);
 }
 
 simt::KernelRun spmm_estimate(const sparse::BlockPattern& pattern,

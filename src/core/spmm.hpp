@@ -20,6 +20,10 @@
 //   spmm_estimate() — analytic counters from the pattern alone (no data),
 //                     used by the benchmark sweeps; equality with the
 //                     executed counters is asserted by the test suite.
+// spmm() executes in one of two modes (ExecMode, plan.hpp): `simulate`
+// runs every lane of every block as the reference; `fast` replays an
+// execution plan through its per-row bucket micro-kernels, the one fast
+// path, bit-exact with simulate.
 
 #include <cstdint>
 #include <optional>
@@ -51,10 +55,6 @@ struct SpmmConfig {
   /// MAGICUBE_EXEC_MODE / set_default_exec_mode says otherwise). Both modes
   /// produce bit-exact results and identical counters.
   std::optional<ExecMode> mode = std::nullopt;
-  /// Fast-path replay kernel; unset defers to default_replay_kernel()
-  /// (panel unless MAGICUBE_REPLAY_KERNEL says otherwise). Panel and
-  /// fragment replay are bit-exact with each other and with simulate.
-  std::optional<ReplayKernel> replay = std::nullopt;
 };
 
 /// Whether the LHS operand must be column-shuffled for this config.

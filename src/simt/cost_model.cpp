@@ -63,11 +63,10 @@ CostBreakdown estimate_cost(const DeviceSpec& dev, const KernelRun& run) {
 
   // Bucket-kernel dispatch: each plan-classified block pays a small
   // per-block selection/setup cost on the issue pipe, weighted by how much
-  // control overhead its kernel body retains (the generic body keeps all
-  // runtime loop bounds; fused paths branch once). Runs with no bucket
-  // counters (simulate mode, pre-bucket plans) are unaffected.
+  // control overhead its kernel body retains (plane loops cost more; fused
+  // paths branch once). Runs with no bucket counters (kernels that are not
+  // plan-replayed) are unaffected.
   static constexpr double kSpmmDispatchCycles[kSpmmBucketKinds] = {
-      4.0,  // generic: runtime panel width + plane loops
       2.0,  // fixed64: fixed-width panels, runtime plane loops
       3.0,  // stacked: fixed-width panels + short-group tail handling
       1.0,  // fused: single fused decode+mma loop

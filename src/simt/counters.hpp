@@ -15,7 +15,7 @@ namespace magicube::simt {
 /// The indices are defined by core::PanelKernelId / core::SddmmKernelId
 /// (static_asserted there); counters.hpp only fixes the array widths so the
 /// simt layer stays below the plan layer.
-inline constexpr int kSpmmBucketKinds = 5;
+inline constexpr int kSpmmBucketKinds = 4;
 inline constexpr int kSddmmBucketKinds = 3;
 
 struct KernelCounters {
@@ -50,11 +50,11 @@ struct KernelCounters {
 
   // Replay-kernel bucket dispatch: blocks executed per specialized panel
   // micro-kernel, recorded analytically by the plan builders (and mirrored
-  // by the estimators so pricing stays plan/estimate-exact). The simulated
-  // reference kernel has no replay dispatch, so these are *excluded* from
-  // operator== — the estimate-equals-execute invariant compares hardware
-  // events only — but participate in += / *= and in the cost model's
-  // dispatch term.
+  // by the estimators and the simulated kernels, so pricing is the same
+  // from a plan, an estimate or either exec mode). They are not hardware
+  // events, so they are *excluded* from operator== — the
+  // estimate-equals-execute invariant compares hardware events only — but
+  // participate in += / *= and in the cost model's dispatch term.
   std::array<std::uint64_t, kSpmmBucketKinds> spmm_bucket_blocks{};
   std::array<std::uint64_t, kSddmmBucketKinds> sddmm_bucket_blocks{};
 

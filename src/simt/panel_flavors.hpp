@@ -20,8 +20,6 @@ struct PanelFlavor {
   const char* name;
   bool supported;  // the host CPU can run this flavor
 
-  void (*mma_panel)(std::uint32_t* acc, const DecodedFrag& a,
-                    const std::int32_t* b, int n);
   void (*pack_panel_b)(const std::uint8_t* const* rows, int k_count,
                        bool int4, bool b_signed, unsigned a_signs,
                        PanelB& out);
@@ -36,8 +34,6 @@ struct PanelFlavor {
                            bool is_signed, std::int32_t* dst);
   std::int32_t (*dot_packed)(const std::int32_t* a, const std::int32_t* b,
                              std::size_t k);
-  void (*colsum_update)(const std::int32_t* row, std::int64_t* colsum,
-                        std::size_t n);
   void (*epilogue_combine)(std::int32_t* out, const std::uint32_t* acc_row,
                            std::int64_t weight, std::size_t n);
   void (*epilogue_combine_biased)(std::int32_t* out,
@@ -47,6 +43,12 @@ struct PanelFlavor {
                                   std::size_t n);
   std::int32_t (*dot_wrap)(const std::int32_t* a, const std::int32_t* b,
                            std::size_t k, std::int32_t acc);
+  // The decodes under the 32-bit-lane pack_panel_b / pack_dot_operand:
+  // `count` packed 8-bit elements (the PackedBuffer byte layout) or 4-bit
+  // elements (low nibble first, count % 2 == 0) to int32, sign-extended
+  // when `is_signed`. The _biased variants decode the stacked signed top
+  // plane (§IV-D) to its excess-2^(b-1) form: raw ^ msb read unsigned,
+  // i.e. signed value + 2^(b-1).
   void (*decode_span_int8)(const std::uint8_t* src, std::size_t count,
                            bool is_signed, std::int32_t* dst);
   void (*decode_span_int4)(const std::uint8_t* src, std::size_t count,

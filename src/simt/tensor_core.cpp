@@ -41,17 +41,6 @@ void mma_impl(AccumFrag& d, const WarpReg& a, const WarpReg& b,
   }
 }
 
-template <int kElems, int kBits>
-void decode_frag_impl(const WarpReg& frag, bool is_signed, DecodedFrag& out) {
-  out.k = 4 * kElems;
-  for (int r = 0; r < 8; ++r) {
-    for (int k = 0; k < 4 * kElems; ++k) {
-      out.v[r][k] =
-          decode(frag[r * 4 + k / kElems], k % kElems, kBits, is_signed);
-    }
-  }
-}
-
 }  // namespace
 
 void mma_m8n8k16(AccumFrag& d, const WarpReg& a, const WarpReg& b,
@@ -66,50 +55,6 @@ void mma_m8n8k32(AccumFrag& d, const WarpReg& a, const WarpReg& b,
                  KernelCounters& counters) {
   mma_impl<8, 4>(d, a, b, c, a_signed, b_signed);
   counters.mma_int4 += 1;
-}
-
-void decode_frag_int8(const WarpReg& frag, bool is_signed, DecodedFrag& out) {
-  decode_frag_impl<4, 8>(frag, is_signed, out);
-}
-
-void decode_frag_int4(const WarpReg& frag, bool is_signed, DecodedFrag& out) {
-  decode_frag_impl<8, 4>(frag, is_signed, out);
-}
-
-namespace {
-
-// Wraparound uint32 accumulation is bit-exact with mma_impl's
-// int64-carry-then-truncate: truncation mod 2^32 is a ring homomorphism
-// (it commutes with sums and products), and both paths truncate once per
-// mma issue. The compile-time trip count lets the optimizer unroll and
-// vectorize the 32-bit multiply-add reduction.
-template <int kK>
-void mma_decoded_k(AccumFrag& acc, const DecodedFrag& a,
-                   const DecodedFrag& b) {
-  for (int lane = 0; lane < 32; ++lane) {
-    const int row = lane / 4;
-    const int col0 = 2 * (lane % 4);
-    for (int cc = 0; cc < 2; ++cc) {
-      std::uint32_t sum = static_cast<std::uint32_t>(acc.c[lane][cc]);
-      const std::int32_t* ar = a.v[row].data();
-      const std::int32_t* bc = b.v[col0 + cc].data();
-      for (int k = 0; k < kK; ++k) {
-        sum += static_cast<std::uint32_t>(ar[k]) *
-               static_cast<std::uint32_t>(bc[k]);
-      }
-      acc.c[lane][cc] = static_cast<std::int32_t>(sum);  // C++20: modular
-    }
-  }
-}
-
-}  // namespace
-
-void mma_decoded(AccumFrag& acc, const DecodedFrag& a, const DecodedFrag& b) {
-  if (a.k == 32) {
-    mma_decoded_k<32>(acc, a, b);
-  } else {
-    mma_decoded_k<16>(acc, a, b);
-  }
 }
 
 // ---- Block-panel micro-kernel ---------------------------------------------
@@ -137,11 +82,7 @@ namespace panel_detail {
 // Forward declarations shared by every wide-ISA namespace (each TU defines
 // the same .inc surface under its own target flags).
 #define MAGICUBE_PANEL_DECLS                                                  \
-  void mma_panel(std::uint32_t* acc, const DecodedFrag& a,                    \
-                 const std::int32_t* b, int n);                               \
   MAGICUBE_PANEL_BYTE_DECLS                                                   \
-  void colsum_update(const std::int32_t* row, std::int64_t* colsum,           \
-                     std::size_t n);                                          \
   void epilogue_combine(std::int32_t* out, const std::uint32_t* acc_row,      \
                         std::int64_t weight, std::size_t n);                  \
   void epilogue_combine_biased(std::int32_t* out,                             \
@@ -232,10 +173,9 @@ MAGICUBE_PANEL_DECLS
 // `rest` the namespace of everything else.
 #define MAGICUBE_PANEL_FLAVOR(label, host_ok, rest, bytes)                   \
   PanelFlavor {                                                              \
-    label, host_ok, rest::mma_panel, bytes::pack_panel_b,                    \
-        bytes::mma_panel_n64, bytes::panel_colsum,                           \
-        bytes::fused_decode_mma_n64, bytes::dot_operand_words,               \
-        bytes::pack_dot_operand, bytes::dot_packed, rest::colsum_update,     \
+    label, host_ok, bytes::pack_panel_b, bytes::mma_panel_n64,               \
+        bytes::panel_colsum, bytes::fused_decode_mma_n64,                    \
+        bytes::dot_operand_words, bytes::pack_dot_operand, bytes::dot_packed, \
         rest::epilogue_combine, rest::epilogue_combine_biased,               \
         rest::dot_wrap, rest::decode_span_int8, rest::decode_span_int4,      \
         rest::decode_span_int8_biased, rest::decode_span_int4_biased,        \
@@ -296,12 +236,6 @@ void load_panel_a_row(const std::uint8_t* src, bool int4, bool biased,
   panel_detail::active().load_panel_a_row(src, int4, biased, row, out);
 }
 
-void mma_panel(std::uint32_t* acc, const DecodedFrag& a,
-               const std::int32_t* b, int n) {
-  MAGICUBE_DCHECK(n > 0 && n % 8 == 0);
-  panel_detail::active().mma_panel(acc, a, b, n);
-}
-
 void pack_panel_b(const std::uint8_t* const* rows, int k_count, bool int4,
                   bool b_signed, unsigned a_signs, PanelB& out) {
   MAGICUBE_DCHECK(k_count >= 0 && k_count <= 32 && k_count % 4 == 0);
@@ -343,11 +277,6 @@ std::int32_t dot_packed(const std::int32_t* a, const std::int32_t* b,
   return panel_detail::active().dot_packed(a, b, k);
 }
 
-void colsum_update(const std::int32_t* row, std::int64_t* colsum,
-                   std::size_t n) {
-  panel_detail::active().colsum_update(row, colsum, n);
-}
-
 void epilogue_combine(std::int32_t* out, const std::uint32_t* acc_row,
                       std::int64_t weight, std::size_t n) {
   panel_detail::active().epilogue_combine(out, acc_row, weight, n);
@@ -363,28 +292,6 @@ void epilogue_combine_biased(std::int32_t* out, const std::uint32_t* acc_row,
 std::int32_t dot_wrap(const std::int32_t* a, const std::int32_t* b,
                       std::size_t k, std::int32_t acc) {
   return panel_detail::active().dot_wrap(a, b, k, acc);
-}
-
-void decode_span_int8(const std::uint8_t* src, std::size_t count,
-                      bool is_signed, std::int32_t* dst) {
-  panel_detail::active().decode_span_int8(src, count, is_signed, dst);
-}
-
-void decode_span_int4(const std::uint8_t* src, std::size_t count,
-                      bool is_signed, std::int32_t* dst) {
-  MAGICUBE_DCHECK(count % 2 == 0);
-  panel_detail::active().decode_span_int4(src, count, is_signed, dst);
-}
-
-void decode_span_int8_biased(const std::uint8_t* src, std::size_t count,
-                             std::int32_t* dst) {
-  panel_detail::active().decode_span_int8_biased(src, count, dst);
-}
-
-void decode_span_int4_biased(const std::uint8_t* src, std::size_t count,
-                             std::int32_t* dst) {
-  MAGICUBE_DCHECK(count % 2 == 0);
-  panel_detail::active().decode_span_int4_biased(src, count, dst);
 }
 
 WarpReg make_a_frag_int8(const Matrix<std::uint8_t>& a) {

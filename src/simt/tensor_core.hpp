@@ -52,68 +52,39 @@ void mma_m8n8k32(AccumFrag& d, const WarpReg& a, const WarpReg& b,
                  const AccumFrag& c, bool a_signed, bool b_signed,
                  KernelCounters& counters);
 
-/// Uncounted mma primitives for the execution-plan fast path. A DecodedFrag
-/// holds the logical elements of one operand fragment (A row-major 8 x K or
-/// B col-major K x 8) unpacked from the packed lane registers once, so a
-/// fragment reused across several mma issues — stacked plane groups, the
-/// emulation plane cross product, both warps of a block — pays decode once
-/// instead of once per issue. K = 16 (int8) or 32 (int4).
-struct DecodedFrag {
-  std::array<std::array<std::int32_t, 32>, 8> v{};  // [row-or-col][k]
-  int k = 16;
-};
-
-void decode_frag_int8(const WarpReg& frag, bool is_signed, DecodedFrag& out);
-void decode_frag_int4(const WarpReg& frag, bool is_signed, DecodedFrag& out);
-
-/// acc += A * B over decoded fragments, with identical int32 wraparound
-/// semantics to the counted mma (the k sum is carried in int64 before the
-/// single wrapping store, so any summation order is bit-exact).
-void mma_decoded(AccumFrag& acc, const DecodedFrag& a, const DecodedFrag& b);
-
-// ---- Block-panel micro-kernel (execution-plan replay) --------------------
+// ---- Block-panel micro-kernels (execution-plan replay) -------------------
 //
-// The panel replay engine trades the per-fragment register dance for plain
-// blocked-GEMM loops: one decoded A tile (8 x K, the DecodedFrag layout)
-// multiplies a decoded B *panel* spanning several adjacent 8-column mma
-// tiles in one pass, accumulating straight into a row-major C panel. All
-// arithmetic is mod-2^32 (unsigned wraparound), which is bit-exact with any
-// chaining of the counted mma / mma_decoded issues it replaces: truncation
-// mod 2^32 is a ring homomorphism, so the grouping of the k reduction and
-// the per-issue truncations cannot change the stored accumulator bits.
+// ExecMode::fast trades the per-fragment register dance for plain
+// blocked-GEMM loops: one A tile (8 x K) multiplies a B *panel* spanning
+// the 8 adjacent 8-column mma tiles of a 64-column block in one pass,
+// accumulating straight into a row-major C panel. All arithmetic is
+// mod-2^32 (unsigned wraparound), which is bit-exact with any chaining of
+// the counted mma issues it replaces: truncation mod 2^32 is a ring
+// homomorphism, so the grouping of the k reduction and the per-issue
+// truncations cannot change the stored accumulator bits.
 //
-// The kernels are written with fixed trip counts over k and fixed 8-wide
-// column blocks so the compiler can keep the C strip in vector registers.
-// When the MAGICUBE_SIMD build option is on, explicit GCC/Clang
-// vector-extension specializations (8 x 32-bit lanes) are compiled in;
-// the scalar fallback produces identical bits on any toolchain.
+// The kernels come in per-ISA flavors (simt/panel_flavors.hpp), dispatched
+// once per process to the widest flavor the host supports. When the
+// MAGICUBE_SIMD build option is on, explicit GCC/Clang vector-extension
+// and intrinsic flavors are compiled in; the scalar fallback produces
+// identical bits on any toolchain.
 
 /// Whether the explicit SIMD micro-kernel specializations are compiled in
 /// (the MAGICUBE_SIMD CMake option on a GCC/Clang toolchain).
 bool simd_enabled();
 
-/// C[8 x n] += A[8 x k] * B[k x n]: `acc` row-major 8 x n wrapping uint32
-/// accumulators, `a` a decoded fragment (k = a.k in {16, 32}), `b` a
-/// decoded row-major k x n panel. n % 8 == 0. Bit-exact with issuing
-/// mma_decoded over the n/8 column tiles of the panel.
-void mma_panel(std::uint32_t* acc, const DecodedFrag& a,
-               const std::int32_t* b, int n);
-
-// Bucket-specialized panel kernels (plan-time replay dispatch). The plan
-// builder classifies every block row into a kernel bucket; the replay
-// engines call these instead of the generic mma_panel when the bucket's
-// shape guarantees hold. All are bit-exact mod 2^32 with mma_panel.
-
-// ---- Byte-operand bucket kernels (bsn == 64) -----------------------------
+// ---- Byte-operand bucket kernels (64-column blocks) ----------------------
 //
-// The bucketed replay hands the kernels operands at byte width, the width
-// the tensor core consumes: A as a PanelA (ISA-neutral, decoded once per
-// block row) and B as a PanelB whose layout belongs to the dispatched
-// flavor. The vector-extension flavors widen to 32-bit lanes; the
-// AVX-512-VNNI flavor keeps bytes and multiplies with vpdpbusd (u8 x s8,
-// exact 4-way sums, wrapping int32 accumulation). A PanelB must only be read
-// by the flavor that packed it, which the dispatched entry points
-// guarantee (the dispatch choice is fixed for the life of the process).
+// The plan builder classifies every block row into a kernel bucket, and
+// the replay calls the kernels below for it. It hands them operands at
+// byte width, the width the tensor core consumes: A as a PanelA
+// (ISA-neutral, loaded once per block row) and B as a PanelB whose layout
+// belongs to the dispatched flavor. The vector-extension flavors widen to
+// 32-bit lanes; the AVX-512-VNNI flavor keeps bytes and multiplies with
+// vpdpbusd (u8 x s8, exact 4-way sums, wrapping int32 accumulation). A
+// PanelB must only be read by the flavor that packed it, which the
+// dispatched entry points guarantee (the dispatch choice is fixed for the
+// life of the process).
 
 /// One replay step's A operand for one plane group: 8 panel rows x k
 /// elements (k = 16 or 32) as bytes, two's complement when `is_signed`,
@@ -129,8 +100,8 @@ struct PanelA {
 };
 
 /// Loads row `row` of `out` (out.k elements, in the domain out.is_signed
-/// names) from packed plane bytes, as decode_span_int8/int4 would read
-/// them, or as decode_span_*_biased when `biased`; nullptr loads a zero
+/// names) from packed plane bytes, as PanelFlavor::decode_span_int8/int4
+/// read them, or as decode_span_*_biased when `biased`; nullptr loads a zero
 /// row. Also sets the row's prefix sums.
 void load_panel_a_row(const std::uint8_t* src, bool int4, bool biased,
                       int row, PanelA& out);
@@ -154,8 +125,8 @@ inline constexpr unsigned kPanelAUnsigned = 2;
 /// Packs one replay step's B rows: `rows[k]` points at the packed bytes of
 /// reduction row k's 64-column span, nullptr for a padded slot (a zero
 /// row). k_count <= 32. `int4`/`b_signed` describe the bytes as
-/// decode_span_int4/int8 would read them; `a_signs` names the A domains
-/// (kPanelASigned | kPanelAUnsigned) that will multiply this panel.
+/// PanelFlavor::decode_span_int4/int8 read them; `a_signs` names the A
+/// domains (kPanelASigned | kPanelAUnsigned) that will multiply this panel.
 void pack_panel_b(const std::uint8_t* const* rows, int k_count, bool int4,
                   bool b_signed, unsigned a_signs, PanelB& out);
 
@@ -163,7 +134,8 @@ void pack_panel_b(const std::uint8_t* const* rows, int k_count, bool int4,
 /// panel rows (1..8); rows past the limit are untouched. The active rows of
 /// a plane group always form a prefix (rr = lp * V + rb), so the row limit
 /// is the entire tail handling. `b` was packed from a.k rows with a's
-/// domain in its a_signs. Bit-exact with mma_panel over the decoded panel.
+/// domain in its a_signs. Bit-exact with the counted mma chain over the
+/// panel's 8 column tiles.
 void mma_panel_n64(std::uint32_t* acc, const PanelA& a, const PanelB& b,
                    int rows);
 
@@ -198,11 +170,6 @@ std::int32_t dot_packed(const std::int32_t* a, const std::int32_t* b,
 /// "avx512vnni", "avx512", "avx2", "neon" or "base".
 const char* panel_isa_name();
 
-/// colsum[c] += row[c] at int64 width over `n` columns — the vectorized
-/// bias-correction column-sum update. Exact integer arithmetic.
-void colsum_update(const std::int32_t* row, std::int64_t* colsum,
-                   std::size_t n);
-
 /// out[c] += weight * (int32)acc_row[c] mod 2^32 over `n` columns — the
 /// panel epilogue's weighted fold of one plane group's partial products
 /// straight into the int32 output row. The output is int32, so folding
@@ -217,26 +184,11 @@ void epilogue_combine_biased(std::int32_t* out, const std::uint32_t* acc_row,
                              std::int64_t weight, std::size_t n);
 
 /// Wrapping dot product over `k` decoded elements: returns
-/// acc + sum_i a[i] * b[i] mod 2^32 — the SDDMM panel kernel, bit-exact
-/// with chaining counted mma issues over the stride tiles of one output.
+/// acc + sum_i a[i] * b[i] mod 2^32 — the 32-bit-lane flavors' SDDMM dot
+/// (under dot_packed), bit-exact with chaining counted mma issues over the
+/// stride tiles of one output.
 std::int32_t dot_wrap(const std::int32_t* a, const std::int32_t* b,
                       std::size_t k, std::int32_t acc);
-
-/// Decode `count` packed 8-bit elements (the PackedBuffer byte layout)
-/// into int32, sign-extending when `is_signed`.
-void decode_span_int8(const std::uint8_t* src, std::size_t count,
-                      bool is_signed, std::int32_t* dst);
-/// Decode `count` packed 4-bit elements (low nibble first within each
-/// byte, the PackedBuffer layout) into int32. count % 2 == 0.
-void decode_span_int4(const std::uint8_t* src, std::size_t count,
-                      bool is_signed, std::int32_t* dst);
-/// Bias-encoded decodes of the stacked signed top plane (§IV-D): the raw
-/// two's-complement chunk becomes its excess-2^(b-1) representation
-/// (raw ^ msb read unsigned, i.e. signed value + 2^(b-1)).
-void decode_span_int8_biased(const std::uint8_t* src, std::size_t count,
-                             std::int32_t* dst);
-void decode_span_int4_biased(const std::uint8_t* src, std::size_t count,
-                             std::int32_t* dst);
 
 // ---- Fragment <-> logical-matrix converters (tests, kernel epilogues) ----
 

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/reference.hpp"
 #include "serve/serve.hpp"
 
 namespace magicube::serve {
@@ -180,31 +181,28 @@ TEST(DevicePoolShard, ShardedSpmmBitExactAndSpansDevices) {
 }
 
 // Bucketed panel dispatch stays bit-exact through pool sharding: the same
-// problems served with bucket dispatch on and off, across N in {1, 2, 4}
-// devices, all match one sequential single-device reference.
+// problems served across N in {1, 2, 4} devices all match one sequential
+// single-device reference, which itself matches the scalar reference.
 TEST(DevicePoolShard, BucketToggleBitExactAcrossShardCounts) {
-  struct BucketsGuard {
-    bool original = core::default_panel_buckets();
-    ~BucketsGuard() { core::set_default_panel_buckets(original); }
-  } guard;
   const Problem spmm_p =
       make_spmm_problem(256, 128, 128, 8, 0.6, precision::L16R4, 31);
   const Problem sddmm_p =
       make_sddmm_problem(256, 64, 128, 8, 0.5, precision::L8R8, 32);
-  core::set_default_panel_buckets(true);
   const Response spmm_want = sequential_reference(spmm_p);
   const Response sddmm_want = sequential_reference(sddmm_p);
-  for (const bool buckets : {true, false}) {
-    core::set_default_panel_buckets(buckets);
-    for (const std::size_t devices : {1u, 2u, 4u}) {
-      DevicePool pool(sharding_config(devices));
-      expect_same_result(pool.submit(to_request(spmm_p)).get(), spmm_want,
-                         buckets ? "bucketed sharded spmm"
-                                 : "generic sharded spmm");
-      expect_same_result(pool.submit(to_request(sddmm_p)).get(), sddmm_want,
-                         buckets ? "bucketed sharded sddmm"
-                                 : "generic sharded sddmm");
-    }
+  ASSERT_TRUE(spmm_want.spmm.has_value() && sddmm_want.sddmm.has_value());
+  EXPECT_EQ(spmm_want.spmm->c,
+            core::reference_spmm(*spmm_p.pattern, *spmm_p.lhs, *spmm_p.rhs));
+  EXPECT_EQ(sddmm_want.sddmm->c.values,
+            core::reference_sddmm(*sddmm_p.pattern, *sddmm_p.lhs,
+                                  *sddmm_p.rhs)
+                .values);
+  for (const std::size_t devices : {1u, 2u, 4u}) {
+    DevicePool pool(sharding_config(devices));
+    expect_same_result(pool.submit(to_request(spmm_p)).get(), spmm_want,
+                       "bucketed sharded spmm");
+    expect_same_result(pool.submit(to_request(sddmm_p)).get(), sddmm_want,
+                       "bucketed sharded sddmm");
   }
 }
 

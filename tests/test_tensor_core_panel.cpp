@@ -1,15 +1,16 @@
-// Property suite for the block-panel replay micro-kernel
-// (simt::mma_panel / simt::dot_wrap / the decode_span family).
+// Property suite for the block-panel replay micro-kernels
+// (simt::mma_panel_n64 and the other bucket kernels, simt::dot_packed /
+// dot_wrap, the decode_span family and the panel epilogue).
 //
-// The panel kernel's contract is bit-exactness with the fragment machinery
-// it replaces: accumulating C[8 x n] += A * B over a panel of adjacent
-// 8-column tiles must reproduce, bit for bit, both the uncounted
-// mma_decoded chain and the counted mma_m8n8k16/k32 reference — including
-// int32 wraparound, which the suite pins by seeding accumulators at and
-// around INT32_MIN/INT32_MAX and chaining multiple accumulation steps.
-// Random fragments sweep both datapaths (int8, int4) and all signedness
-// combinations; SIMD and scalar builds must pass identically
-// (MAGICUBE_SIMD only changes instruction selection, never bits).
+// The panel kernels' contract is bit-exactness with the hardware mma they
+// replay: accumulating C[8 x 64] += A * B over a panel of 8 adjacent
+// 8-column tiles must reproduce, bit for bit, the counted mma_m8n8k16/k32
+// reference — including int32 wraparound, which the suite pins by seeding
+// accumulators at and around INT32_MIN/INT32_MAX and chaining multiple
+// accumulation steps. Random operands sweep both datapaths (int8, int4)
+// and all signedness combinations; SIMD and scalar builds must pass
+// identically (MAGICUBE_SIMD only changes instruction selection, never
+// bits).
 //
 // Every flavor the host can run is checked, not just the one dispatch
 // picks: the suites iterate simt::panel_flavors() and assert each flavor's
@@ -18,9 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/packed.hpp"
@@ -78,67 +81,70 @@ std::string panel_case_name(const ::testing::TestParamInfo<PanelCase>& info) {
          (c.b_signed ? "_sB" : "_uB");
 }
 
-// Panel accumulation over 1..8 adjacent column tiles and 1..3 chained steps
-// must match (a) the mma_decoded chain and (b) the counted mma reference,
-// bit for bit, from wraparound-edge accumulator seeds.
+Scalar scalar_of(bool int4, bool is_signed) {
+  if (int4) return is_signed ? Scalar::s4 : Scalar::u4;
+  return is_signed ? Scalar::s8 : Scalar::u8;
+}
+
+unsigned a_sign_bit(bool a_signed) {
+  return a_signed ? kPanelASigned : kPanelAUnsigned;
+}
+
+/// Raw element kk of fragment row-or-column r (A: row r of a row-major
+/// 8 x k; B: column r of a col-major k x 8): lane r * 4 + kk / e holds it
+/// as element kk % e, element 0 in the low bits (Fig. 1).
+std::uint32_t frag_raw(const WarpReg& frag, int r, int kk, bool int4) {
+  const int e = int4 ? 8 : 4;
+  const int bits = int4 ? 4 : 8;
+  return (frag[static_cast<std::size_t>(r * 4 + kk / e)] >>
+          (bits * (kk % e))) &
+         ((1u << bits) - 1u);
+}
+
+// Chained panel steps over the 8 column tiles of a 64-column block must
+// match the counted mma reference, bit for bit, from wraparound-edge
+// accumulator seeds. Both read the same random fragment registers: the
+// panel's A rows are the A fragment's packed row bytes and its B rows are
+// the B fragments' columns repacked row by row — the link from every
+// flavor's byte kernels to the hardware mma semantics.
 TEST_P(PanelPropertyTest, MatchesDecodedAndCountedMma) {
   const PanelCase& c = GetParam();
   Rng rng(0x9a7e1 + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
   const int k = c.int4 ? 32 : 16;
+  constexpr int kTiles = 8;  // 64 columns
   KernelCounters kc;
   const auto flavors = host_flavors();
 
   for (int trial = 0; trial < 40; ++trial) {
-    const int tiles = 1 + static_cast<int>(rng.next_below(8));
-    const int n = 8 * tiles;
     const int steps = 1 + static_cast<int>(rng.next_below(3));
 
-    // Initial accumulators per tile, shared by all three engines.
-    std::vector<AccumFrag> counted(static_cast<std::size_t>(tiles));
+    // Initial accumulators per tile, shared by the counted and panel paths.
+    std::vector<AccumFrag> counted(kTiles);
     for (auto& acc : counted) {
       for (auto& lane : acc.c) lane = {random_acc(rng), random_acc(rng)};
     }
-    std::vector<AccumFrag> decoded = counted;
-
-    std::vector<std::uint32_t> panel_acc(static_cast<std::size_t>(8 * n));
-    for (int t = 0; t < tiles; ++t) {
+    std::vector<std::uint32_t> panel_acc(8 * 64);
+    for (int t = 0; t < kTiles; ++t) {
       const Matrix<std::int32_t> m =
           accum_to_matrix(counted[static_cast<std::size_t>(t)]);
       for (int r = 0; r < 8; ++r) {
         for (int col = 0; col < 8; ++col) {
-          panel_acc[static_cast<std::size_t>(r * n + 8 * t + col)] =
+          panel_acc[static_cast<std::size_t>(r * 64 + 8 * t + col)] =
               static_cast<std::uint32_t>(m(static_cast<std::size_t>(r),
                                            static_cast<std::size_t>(col)));
         }
       }
     }
-
     std::vector<std::vector<std::uint32_t>> flavor_acc(flavors.size(),
                                                        panel_acc);
+
     for (int st = 0; st < steps; ++st) {
       const WarpReg a_frag = random_reg(rng);
-      DecodedFrag a_dec;
-      std::vector<WarpReg> b_frags(static_cast<std::size_t>(tiles));
-      std::vector<DecodedFrag> b_dec(static_cast<std::size_t>(tiles));
-      for (int t = 0; t < tiles; ++t) {
-        b_frags[static_cast<std::size_t>(t)] = random_reg(rng);
-      }
-      if (c.int4) {
-        decode_frag_int4(a_frag, c.a_signed, a_dec);
-        for (int t = 0; t < tiles; ++t) {
-          decode_frag_int4(b_frags[static_cast<std::size_t>(t)], c.b_signed,
-                           b_dec[static_cast<std::size_t>(t)]);
-        }
-      } else {
-        decode_frag_int8(a_frag, c.a_signed, a_dec);
-        for (int t = 0; t < tiles; ++t) {
-          decode_frag_int8(b_frags[static_cast<std::size_t>(t)], c.b_signed,
-                           b_dec[static_cast<std::size_t>(t)]);
-        }
-      }
+      std::vector<WarpReg> b_frags(kTiles);
+      for (auto& frag : b_frags) frag = random_reg(rng);
 
-      // Engine 1: counted reference mma.
-      for (int t = 0; t < tiles; ++t) {
+      // Counted reference: one mma per column tile.
+      for (int t = 0; t < kTiles; ++t) {
         AccumFrag& dst = counted[static_cast<std::size_t>(t)];
         if (c.int4) {
           mma_m8n8k32(dst, a_frag, b_frags[static_cast<std::size_t>(t)], dst,
@@ -148,27 +154,61 @@ TEST_P(PanelPropertyTest, MatchesDecodedAndCountedMma) {
                       c.a_signed, c.b_signed, kc);
         }
       }
-      // Engine 2: decoded-fragment chain (the PR-3 fast path).
-      for (int t = 0; t < tiles; ++t) {
-        mma_decoded(decoded[static_cast<std::size_t>(t)], a_dec,
-                    b_dec[static_cast<std::size_t>(t)]);
-      }
-      // Engine 3: one panel invocation across all tiles. The B panel is
-      // row-major k x n with tile t's columns at 8t..8t+7.
-      std::vector<std::int32_t> b_panel(static_cast<std::size_t>(k * n));
-      for (int kk = 0; kk < k; ++kk) {
-        for (int t = 0; t < tiles; ++t) {
-          for (int col = 0; col < 8; ++col) {
-            b_panel[static_cast<std::size_t>(kk * n + 8 * t + col)] =
-                b_dec[static_cast<std::size_t>(t)]
-                    .v[static_cast<std::size_t>(col)]
-                    [static_cast<std::size_t>(kk)];
-          }
+
+      // A row r's packed bytes: the little-endian bytes of lanes 4r..4r+3.
+      std::array<std::array<std::uint8_t, 16>, 8> a_bytes{};
+      for (int r = 0; r < 8; ++r) {
+        for (int j = 0; j < 16; ++j) {
+          a_bytes[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] =
+              static_cast<std::uint8_t>(
+                  a_frag[static_cast<std::size_t>(r * 4 + j / 4)] >>
+                  (8 * (j % 4)));
         }
       }
-      mma_panel(panel_acc.data(), a_dec, b_panel.data(), n);
+      // B reduction row kk across the 64 columns, packed at operand width.
+      std::vector<PackedBuffer> b_rows;
+      for (int kk = 0; kk < k; ++kk) {
+        PackedBuffer row(64, scalar_of(c.int4, c.b_signed));
+        for (int t = 0; t < kTiles; ++t) {
+          for (int col = 0; col < 8; ++col) {
+            row.set_raw(static_cast<std::size_t>(8 * t + col),
+                        frag_raw(b_frags[static_cast<std::size_t>(t)], col, kk,
+                                 c.int4));
+          }
+        }
+        b_rows.push_back(std::move(row));
+      }
+      std::array<const std::uint8_t*, 32> rows{};
+      for (int kk = 0; kk < k; ++kk) {
+        rows[static_cast<std::size_t>(kk)] =
+            b_rows[static_cast<std::size_t>(kk)].data();
+      }
+
+      // The dispatched kernels, then every host flavor's own.
+      PanelA a;
+      a.k = k;
+      a.is_signed = c.a_signed;
+      for (int r = 0; r < 8; ++r) {
+        load_panel_a_row(a_bytes[static_cast<std::size_t>(r)].data(), c.int4,
+                         /*biased=*/false, r, a);
+      }
+      PanelB packed;
+      pack_panel_b(rows.data(), k, c.int4, c.b_signed, a_sign_bit(c.a_signed),
+                   packed);
+      mma_panel_n64(panel_acc.data(), a, packed, 8);
       for (std::size_t f = 0; f < flavors.size(); ++f) {
-        flavors[f]->mma_panel(flavor_acc[f].data(), a_dec, b_panel.data(), n);
+        PanelA fa;
+        fa.k = k;
+        fa.is_signed = c.a_signed;
+        for (int r = 0; r < 8; ++r) {
+          flavors[f]->load_panel_a_row(
+              a_bytes[static_cast<std::size_t>(r)].data(), c.int4,
+              /*biased=*/false, r, fa);
+        }
+        PanelB fb;
+        flavors[f]->pack_panel_b(rows.data(), k, c.int4, c.b_signed,
+                                 a_sign_bit(c.a_signed), fb);
+        flavors[f]->mma_panel_n64(flavor_acc[f].data(), fa, fb, 8);
       }
     }
     for (std::size_t f = 0; f < flavors.size(); ++f) {
@@ -176,16 +216,13 @@ TEST_P(PanelPropertyTest, MatchesDecodedAndCountedMma) {
           << flavors[f]->name << " trial " << trial;
     }
 
-    for (int t = 0; t < tiles; ++t) {
-      EXPECT_EQ(counted[static_cast<std::size_t>(t)],
-                decoded[static_cast<std::size_t>(t)])
-          << "trial " << trial << " tile " << t;
+    for (int t = 0; t < kTiles; ++t) {
       const Matrix<std::int32_t> want =
           accum_to_matrix(counted[static_cast<std::size_t>(t)]);
       for (int r = 0; r < 8; ++r) {
         for (int col = 0; col < 8; ++col) {
           EXPECT_EQ(static_cast<std::int32_t>(
-                        panel_acc[static_cast<std::size_t>(r * n + 8 * t +
+                        panel_acc[static_cast<std::size_t>(r * 64 + 8 * t +
                                                            col)]),
                     want(static_cast<std::size_t>(r),
                          static_cast<std::size_t>(col)))
@@ -380,11 +417,6 @@ Domain domain_of(bool int4, bool is_signed) {
   return is_signed ? Domain{-128, 127} : Domain{0, 255};
 }
 
-Scalar scalar_of(bool int4, bool is_signed) {
-  if (int4) return is_signed ? Scalar::s4 : Scalar::u4;
-  return is_signed ? Scalar::s8 : Scalar::u8;
-}
-
 /// A domain value: uniform, or (extreme) only the domain's end points —
 /// mostly the end of larger magnitude (-128/255, -8/15), so products share
 /// a sign and a long reduction wraps the accumulator soonest.
@@ -395,10 +427,10 @@ std::int32_t domain_value(Rng& rng, Domain d, bool extreme) {
   return rng.next_below(8) == 0 ? other : big;
 }
 
-/// One replay step's operands: A as a DecodedFrag and its PanelA, B as
-/// packed 64-column rows (nullptr = padded) plus their values.
+/// One replay step's operands: A as values and its PanelA, B as packed
+/// 64-column rows (nullptr = padded) plus their values.
 struct StepOperands {
-  DecodedFrag a_dec;
+  std::array<std::array<std::int32_t, 32>, 8> a_vals{};  // [row][k]
   PanelA a;
   std::vector<PackedBuffer> storage;
   std::array<const std::uint8_t*, 32> rows{};
@@ -409,9 +441,8 @@ StepOperands random_step(Rng& rng, const PanelCase& c, int pad_one_in,
                          bool extreme) {
   const int k = c.int4 ? 32 : 16;
   StepOperands s;
-  s.a_dec.k = k;
   const Domain da = domain_of(c.int4, c.a_signed);
-  for (auto& row : s.a_dec.v) {
+  for (auto& row : s.a_vals) {
     for (int kk = 0; kk < k; ++kk) {
       row[static_cast<std::size_t>(kk)] = domain_value(rng, da, extreme);
     }
@@ -420,7 +451,7 @@ StepOperands random_step(Rng& rng, const PanelCase& c, int pad_one_in,
   s.a.k = k;
   s.a.is_signed = c.a_signed;
   for (int r = 0; r < 8; ++r) {
-    const auto& values = s.a_dec.v[static_cast<std::size_t>(r)];
+    const auto& values = s.a_vals[static_cast<std::size_t>(r)];
     PackedBuffer row(static_cast<std::size_t>(k),
                      scalar_of(c.int4, c.a_signed));
     for (std::size_t kk = 0; kk < row.size(); ++kk) row.set(kk, values[kk]);
@@ -462,10 +493,10 @@ void describe_step(std::vector<std::uint32_t>& acc, const StepOperands& s,
   for (int r = 0; r < rows; ++r) {
     for (int col = 0; col < 64; ++col) {
       std::uint32_t sum = acc[static_cast<std::size_t>(r * 64 + col)];
-      for (int kk = 0; kk < s.a_dec.k; ++kk) {
+      for (int kk = 0; kk < s.a.k; ++kk) {
         sum += static_cast<std::uint32_t>(
-                   s.a_dec.v[static_cast<std::size_t>(r)]
-                            [static_cast<std::size_t>(kk)]) *
+                   s.a_vals[static_cast<std::size_t>(r)]
+                           [static_cast<std::size_t>(kk)]) *
                static_cast<std::uint32_t>(
                    s.b[static_cast<std::size_t>(kk * 64 + col)]);
       }
@@ -480,15 +511,10 @@ std::vector<std::uint32_t> random_panel_acc(Rng& rng) {
   return acc;
 }
 
-unsigned a_sign_bit(bool a_signed) {
-  return a_signed ? kPanelASigned : kPanelAUnsigned;
-}
-
-// Fixed-width kernel vs the description and vs the generic runtime-width
-// panel: identical bits on the first `rows` rows, untouched accumulators
-// beyond them (partial stacked plane groups rely on exactly that prefix
-// contract). The panel is packed for both A domains, as for a row whose
-// plane groups differ in signedness.
+// Fixed-width kernel vs the description: identical bits on the first
+// `rows` rows, untouched accumulators beyond them (partial stacked plane
+// groups rely on exactly that prefix contract). The panel is packed for
+// both A domains, as for a row whose plane groups differ in signedness.
 TEST_P(PanelPropertyTest, MmaPanelN64MatchesGenericPanel) {
   const PanelCase& c = GetParam();
   Rng rng(0xf1bed + (c.int4 ? 4 : 8) + 2 * c.a_signed + c.b_signed);
@@ -499,13 +525,12 @@ TEST_P(PanelPropertyTest, MmaPanelN64MatchesGenericPanel) {
       const StepOperands s = random_step(rng, c, 5, trial % 4 == 3);
       const std::vector<std::uint32_t> init = random_panel_acc(rng);
 
-      std::vector<std::uint32_t> want = init, generic = init, got = init;
+      std::vector<std::uint32_t> want = init, got = init;
       describe_step(want, s, rows);
       PanelB packed;
       f->pack_panel_b(s.rows.data(), s.a.k, c.int4, c.b_signed,
                       kPanelASigned | kPanelAUnsigned, packed);
       f->mma_panel_n64(got.data(), s.a, packed, rows);
-      f->mma_panel(generic.data(), s.a_dec, s.b.data(), 64);
 
       for (int r = 0; r < 8; ++r) {
         for (int col = 0; col < 64; ++col) {
@@ -514,8 +539,6 @@ TEST_P(PanelPropertyTest, MmaPanelN64MatchesGenericPanel) {
           EXPECT_EQ(got[i], r < rows ? want[i] : init[i])
               << f->name << " trial " << trial << " rows=" << rows << " ("
               << r << ", " << col << ")";
-          EXPECT_EQ(generic[i], r < rows ? want[i] : generic[i])
-              << f->name << " generic trial " << trial;
         }
       }
     }
@@ -600,7 +623,7 @@ TEST_P(PanelPropertyTest, WrapStressLongReduction) {
       describe_step(want, s, 8);
       for (int kk = 0; kk < s.a.k; ++kk) {
         wide += static_cast<std::int64_t>(
-                    s.a_dec.v[0][static_cast<std::size_t>(kk)]) *
+                    s.a_vals[0][static_cast<std::size_t>(kk)]) *
                 s.b[static_cast<std::size_t>(kk) * 64];
       }
       f->pack_panel_b(s.rows.data(), s.a.k, c.int4, c.b_signed,
@@ -699,30 +722,6 @@ TEST(PanelFlavors, DispatchPicksTheWidestSupportedFlavor) {
     std::printf(" %s%s", f.name, f.supported ? "" : "(unsupported)");
   }
   std::printf("; dispatched: %s\n", panel_isa_name());
-}
-
-TEST(PanelEpilogue, ColsumUpdateMatchesScalar) {
-  Rng rng(0xc015);
-  const auto flavors = host_flavors();
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{7},
-        std::size_t{64}, std::size_t{65}}) {
-    std::vector<std::int32_t> row(n);
-    for (auto& v : row) v = random_acc(rng);
-    std::vector<std::int64_t> init(n), want(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      init[i] = static_cast<std::int64_t>(rng.next_u64() >> 8) - (1ll << 54);
-      want[i] = init[i] + row[i];
-    }
-    std::vector<std::int64_t> got = init;
-    colsum_update(row.data(), got.data(), n);
-    EXPECT_EQ(got, want) << "n=" << n;
-    for (const PanelFlavor* f : flavors) {
-      got = init;
-      f->colsum_update(row.data(), got.data(), n);
-      EXPECT_EQ(got, want) << f->name << " n=" << n;
-    }
-  }
 }
 
 // The epilogue folds into the int32 output row mod 2^32; the description
