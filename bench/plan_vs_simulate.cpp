@@ -26,6 +26,13 @@
 // BM_ReplayComparison entry of that JSON carries the table's aggregates:
 // the gated speedup, per-engine CV, aggregate and per-bucket panel GOPS and
 // the dispatched panel-kernel flavor.
+//
+// A second table reports, ungated, what a fresh operand costs next to the
+// replay that consumes it: prepare_spmm_lhs, prepare_spmm_rhs and
+// build_spmm_plan against one replay, per call, for L8-R8, L4-R4 and
+// L16-R8 on the full 512 x 512 shape (also under --smoke: preparation
+// cost scales with the operands). Its figures go to the JSON as
+// BM_PreparationVsReplay.
 
 #include <benchmark/benchmark.h>
 
@@ -36,6 +43,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -137,15 +145,16 @@ void time_window(Samples& s, Fn&& fn) {
 /// plan replay looks like in serving traffic, and the median over rounds
 /// keeps the estimate robust when the bench shares the machine (CTest runs
 /// the smoke registration alongside other tests).
-template <typename Sim, typename Panel>
-void time_engines(Sim&& sim, Panel&& panel, Samples& sim_s,
-                  Samples& panel_s) {
-  sim_s = calibrate(sim);
-  panel_s = calibrate(panel);
+std::vector<Samples> time_interleaved(
+    const std::vector<std::function<void()>>& engines) {
+  std::vector<Samples> samples;
+  for (const auto& fn : engines) samples.push_back(calibrate(fn));
   for (int round = 0; round < kTimingRounds; ++round) {
-    time_window(sim_s, sim);
-    time_window(panel_s, panel);
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      time_window(samples[i], engines[i]);
+    }
   }
+  return samples;
 }
 
 struct OpTimings {
@@ -189,10 +198,11 @@ OpTimings time_spmm(const Shape& shape, PrecisionPair prec,
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
                      "fast/simulate counter mismatch");
 
-  time_engines(
-      [&] { benchmark::DoNotOptimize(core::spmm(a, b, sim_cfg)); },
-      [&] { benchmark::DoNotOptimize(core::spmm(a, b, panel_cfg, *plan)); },
-      t.simulate, t.panel);
+  const auto s = time_interleaved(
+      {[&] { benchmark::DoNotOptimize(core::spmm(a, b, sim_cfg)); },
+       [&] { benchmark::DoNotOptimize(core::spmm(a, b, panel_cfg, *plan)); }});
+  t.simulate = s[0];
+  t.panel = s[1];
   t.useful_ops = core::spmm_useful_ops(pattern, shape.n);
   return t;
 }
@@ -229,15 +239,77 @@ OpTimings time_sddmm(const Shape& shape, PrecisionPair prec,
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
                      "fast/simulate counter mismatch");
 
-  time_engines(
-      [&] { benchmark::DoNotOptimize(core::sddmm(a, b, pattern, sim_cfg)); },
-      [&] {
-        benchmark::DoNotOptimize(
-            core::sddmm(a, b, pattern, panel_cfg, *plan));
-      },
-      t.simulate, t.panel);
+  const auto s = time_interleaved(
+      {[&] { benchmark::DoNotOptimize(core::sddmm(a, b, pattern, sim_cfg)); },
+       [&] {
+         benchmark::DoNotOptimize(
+             core::sddmm(a, b, pattern, panel_cfg, *plan));
+       }});
+  t.simulate = s[0];
+  t.panel = s[1];
   t.useful_ops = core::sddmm_useful_ops(pattern, k);
   return t;
+}
+
+/// Preparation vs replay of one SpMM pair: per-call medians of the three
+/// set-up steps a fresh operand pays and of the replay that consumes it.
+struct PrepTimings {
+  PrecisionPair precision;
+  double lhs_s = 0, rhs_s = 0, plan_s = 0, replay_s = 0;
+};
+
+PrepTimings time_preparation(PrecisionPair prec, std::uint64_t seed) {
+  const Shape shape = shape_for(/*smoke=*/false);
+  Rng rng(seed);
+  const auto pattern = sparse::make_uniform_pattern(shape.m, shape.k, shape.v,
+                                                    shape.sparsity, rng);
+  const auto a_vals = core::random_values(shape.m, shape.k, prec.lhs, rng);
+  const auto b_vals = core::random_values(shape.k, shape.n, prec.rhs, rng);
+  core::SpmmConfig cfg;
+  cfg.precision = prec;
+  cfg.mode = core::ExecMode::fast;
+  const bool shuffle = core::needs_shuffle(cfg);
+  const auto a = core::prepare_spmm_lhs(pattern, a_vals, prec, shuffle);
+  const auto b = core::prepare_spmm_rhs(b_vals, prec);
+  const auto plan = core::build_spmm_plan(a, shape.n, cfg);
+
+  const auto s = time_interleaved(
+      {[&] {
+         benchmark::DoNotOptimize(
+             core::prepare_spmm_lhs(pattern, a_vals, prec, shuffle));
+       },
+       [&] { benchmark::DoNotOptimize(core::prepare_spmm_rhs(b_vals, prec)); },
+       [&] {
+         benchmark::DoNotOptimize(core::build_spmm_plan(a, shape.n, cfg));
+       },
+       [&] { benchmark::DoNotOptimize(core::spmm(a, b, cfg, *plan)); }});
+  return {prec, s[0].median(), s[1].median(), s[2].median(), s[3].median()};
+}
+
+std::vector<PrepTimings> g_preparation;
+
+/// The preparation-vs-replay table: reported figures, not gated. Always on
+/// the full shape, since preparation cost scales with the operand sizes.
+void preparation_table() {
+  const Shape shape = shape_for(/*smoke=*/false);
+  std::printf("== preparation vs replay: SpMM M=%zu K=%zu N=%zu V=%d, "
+              "sparsity %.2f (reported, not gated) ==\n",
+              shape.m, shape.k, shape.n, shape.v, shape.sparsity);
+  bench::Table table({"precision", "prepare_spmm_lhs (ms)",
+                      "prepare_spmm_rhs (ms)", "build_spmm_plan (ms)",
+                      "replay (ms)", "prepare / replay"});
+  for (const PrecisionPair prec :
+       {precision::L8R8, precision::L4R4, precision::L16R8}) {
+    const PrepTimings t = time_preparation(
+        prec, 0x9e9 + static_cast<unsigned>(bits_of(prec.lhs)));
+    g_preparation.push_back(t);
+    table.add_row({to_string(prec), bench::fmt(t.lhs_s * 1e3, 3),
+                   bench::fmt(t.rhs_s * 1e3, 3), bench::fmt(t.plan_s * 1e3, 3),
+                   bench::fmt(t.replay_s * 1e3, 3),
+                   bench::fmt((t.lhs_s + t.rhs_s) / t.replay_s, 2) + "x"});
+  }
+  table.print();
+  std::printf("\n");
 }
 
 bool g_smoke = false;
@@ -496,6 +568,20 @@ void BM_ReplayComparison(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayComparison)->Iterations(1);
 
+// The preparation-vs-replay table as one JSON entry (milliseconds per call,
+// per precision pair).
+void BM_PreparationVsReplay(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(g_preparation.size());
+  for (const PrepTimings& t : g_preparation) {
+    const std::string pair = to_string(t.precision);
+    state.counters[pair + "_prepare_spmm_lhs_ms"] = t.lhs_s * 1e3;
+    state.counters[pair + "_prepare_spmm_rhs_ms"] = t.rhs_s * 1e3;
+    state.counters[pair + "_build_spmm_plan_ms"] = t.plan_s * 1e3;
+    state.counters[pair + "_replay_ms"] = t.replay_s * 1e3;
+  }
+}
+BENCHMARK(BM_PreparationVsReplay)->Iterations(1);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -522,6 +608,7 @@ int main(int argc, char** argv) {
                 argv[0]);
   } else {
     gate_passed = comparison_table(g_smoke);
+    preparation_table();
   }
   int bench_argc = static_cast<int>(fwd.size());
   benchmark::Initialize(&bench_argc, fwd.data());

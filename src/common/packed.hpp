@@ -78,6 +78,18 @@ class PackedBuffer {
     }
   }
 
+  /// Bulk set(): stores src[0, n) as elements [first, first + n), byte-equal
+  /// to n set_raw(encode_twos_complement(v)) calls — set_raw/get_raw stay
+  /// the bit-serial description this is tested against. Width-specialized:
+  /// 8-bit narrows and stores, 4-bit packs nibble pairs, 16-bit writes
+  /// little-endian halves, 12-bit writes three-byte pairs. Values keep only
+  /// their low bits_of(type()) bits (in range for the type, as for set()).
+  void encode(std::size_t first, const std::int32_t* src, std::size_t n);
+
+  /// Bulk get(): elements [first, first + n) into dst[0, n), interpreted
+  /// per the buffer's scalar type.
+  void decode(std::size_t first, std::size_t n, std::int32_t* dst) const;
+
   /// Element i interpreted per the buffer's scalar type.
   std::int32_t get(std::size_t i) const {
     const std::uint32_t raw = get_raw(i);

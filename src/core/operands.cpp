@@ -1,34 +1,8 @@
 #include "core/operands.hpp"
 
+#include <algorithm>
+
 namespace magicube::core {
-
-namespace {
-
-/// Decomposes a packed buffer into operand planes of `chunk_bits`. Native
-/// (single-chunk) types come back as one full-width plane.
-std::vector<OperandPlane> to_planes(const PackedBuffer& src, int chunk_bits) {
-  std::vector<OperandPlane> out;
-  if (bits_of(src.type()) <= chunk_bits) {
-    OperandPlane p;
-    p.values = src;
-    p.weight = 1;
-    p.is_signed = is_signed(src.type());
-    out.push_back(std::move(p));
-    return out;
-  }
-  quant::PlaneSet set = quant::decompose(src, chunk_bits);
-  out.reserve(set.planes.size());
-  for (auto& plane : set.planes) {
-    OperandPlane p;
-    p.values = std::move(plane.values);
-    p.weight = plane.weight;
-    p.is_signed = plane.is_signed;
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
-}  // namespace
 
 std::size_t SparseOperand::footprint_bytes() const {
   std::size_t bytes = sizeof(SparseOperand);
@@ -45,18 +19,35 @@ std::size_t DenseOperand::footprint_bytes() const {
   return bytes;
 }
 
+SparseOperand spmm_lhs_layout(const sparse::BlockPattern& pattern,
+                              PrecisionPair precision, bool shuffle) {
+  SparseOperand out;
+  out.logical_type = precision.lhs;
+  out.structure =
+      sparse::build_sr_bcrs_structure(pattern, stride_for(precision));
+  if (shuffle) {
+    out.structure = sparse::shuffle_columns(out.structure);
+  }
+  const std::size_t count =
+      out.structure.slot_count() *
+      static_cast<std::size_t>(pattern.vector_length);
+  out.structure.values = PackedBuffer(count, precision.lhs);
+  out.planes =
+      quant::make_planes(precision.lhs, lhs_chunk_bits(precision), count);
+  return out;
+}
+
 SparseOperand prepare_spmm_lhs(const sparse::BlockPattern& pattern,
                                const Matrix<std::int32_t>& dense_values,
                                PrecisionPair precision, bool shuffle) {
-  SparseOperand out;
-  out.logical_type = precision.lhs;
-  const int stride = stride_for(precision);
-  sparse::SrBcrs sr = sparse::build_sr_bcrs(pattern, dense_values,
-                                            precision.lhs, stride);
-  if (shuffle) sr = sparse::shuffle_columns(sr);
-  out.planes = to_planes(sr.values, lhs_chunk_bits(precision));
-  out.structure = std::move(sr);
-  return out;
+  MAGICUBE_CHECK(dense_values.rows() == pattern.rows &&
+                 dense_values.cols() == pattern.cols);
+  const std::size_t v = static_cast<std::size_t>(pattern.vector_length);
+  return prepare_spmm_lhs_from(
+      pattern, precision, shuffle,
+      [&](std::size_t r, std::size_t i, std::size_t rb) {
+        return dense_values(r * v + rb, pattern.col_idx[i]);
+      });
 }
 
 DenseOperand prepare_dense(const Matrix<std::int32_t>& values, Scalar type,
@@ -66,13 +57,28 @@ DenseOperand prepare_dense(const Matrix<std::int32_t>& values, Scalar type,
   out.cols = values.cols();
   out.row_major = row_major;
   out.logical_type = type;
-  PackedBuffer buf(values.size(), type);
-  for (std::size_t r = 0; r < values.rows(); ++r) {
-    for (std::size_t c = 0; c < values.cols(); ++c) {
-      buf.set(out.flat_index(r, c), values(r, c));
+  out.planes = quant::make_planes(type, chunk_bits_if_emulated, values.size());
+  if (row_major) {
+    quant::encode_planes(out.planes, chunk_bits_if_emulated, 0,
+                         values.data(), values.size());
+    return out;
+  }
+  // Column-major: transpose a block of columns at a time, then encode each
+  // column as one span.
+  constexpr std::size_t kColumns = 16;
+  std::vector<std::int32_t> block(kColumns * out.rows);
+  for (std::size_t c0 = 0; c0 < out.cols; c0 += kColumns) {
+    const std::size_t w = std::min(kColumns, out.cols - c0);
+    for (std::size_t r = 0; r < out.rows; ++r) {
+      const std::int32_t* row = values.data() + r * out.cols + c0;
+      for (std::size_t j = 0; j < w; ++j) block[j * out.rows + r] = row[j];
+    }
+    for (std::size_t j = 0; j < w; ++j) {
+      quant::encode_planes(out.planes, chunk_bits_if_emulated,
+                           (c0 + j) * out.rows, block.data() + j * out.rows,
+                           out.rows);
     }
   }
-  out.planes = to_planes(buf, chunk_bits_if_emulated);
   return out;
 }
 

@@ -41,12 +41,9 @@ constexpr int lhs_chunk_bits(PrecisionPair p) { return chunk_bits(p); }
 constexpr int rhs_chunk_bits(PrecisionPair p) { return chunk_bits(p); }
 
 /// One operand plane: values in SR-BCRS slot order, with the algebraic
-/// weight and signedness the emulation sum needs.
-struct OperandPlane {
-  PackedBuffer values;
-  std::int64_t weight = 1;
-  bool is_signed = true;
-};
+/// weight and signedness the emulation sum needs (quant::make_planes makes
+/// them, quant::encode_planes fills them).
+using OperandPlane = quant::Plane;
 
 /// LHS sparse operand (structure + planes).
 struct SparseOperand {
@@ -89,9 +86,38 @@ struct DenseOperand {
 using SparseOperandHandle = std::shared_ptr<const SparseOperand>;
 using DenseOperandHandle = std::shared_ptr<const DenseOperand>;
 
-/// Builds the SpMM LHS: SR-BCRS at the pair's stride, optional block-of-8
-/// column shuffling (required by the int4 fast transpose), plane
-/// decomposition per the pair's datapath.
+/// The SpMM LHS of `pattern` with its structure built (SR-BCRS at the
+/// pair's stride, block-of-8 column shuffled when `shuffle`) and its value
+/// buffer and planes sized and zeroed — what prepare_spmm_lhs_from fills.
+SparseOperand spmm_lhs_layout(const sparse::BlockPattern& pattern,
+                              PrecisionPair precision, bool shuffle);
+
+/// Builds the SpMM LHS from values given per vector in pattern order:
+/// `value(r, i, rb)` is row rb of the pattern's i-th vector (in vector row
+/// r; see sparse::write_sr_bcrs_values). One pass writes the logical
+/// values and splits them into the pair's planes, so the SDDMM output
+/// (already vector-major in pattern order, §IV-C) becomes the SpMM LHS
+/// without a dense image.
+template <class Value>
+SparseOperand prepare_spmm_lhs_from(const sparse::BlockPattern& pattern,
+                                    PrecisionPair precision, bool shuffle,
+                                    Value&& value) {
+  SparseOperand out = spmm_lhs_layout(pattern, precision, shuffle);
+  sparse::write_sr_bcrs_values(
+      out.structure, pattern, value,
+      [&](std::size_t first, const std::int32_t* values, std::size_t n) {
+        out.structure.values.encode(first, values, n);
+        quant::encode_planes(out.planes, lhs_chunk_bits(precision), first,
+                             values, n);
+      });
+  out.structure.validate();
+  return out;
+}
+
+/// Builds the SpMM LHS from a dense value matrix (a gather into
+/// prepare_spmm_lhs_from): SR-BCRS at the pair's stride, optional
+/// block-of-8 column shuffling (required by the int4 fast transpose),
+/// plane decomposition per the pair's datapath.
 SparseOperand prepare_spmm_lhs(const sparse::BlockPattern& pattern,
                                const Matrix<std::int32_t>& dense_values,
                                PrecisionPair precision, bool shuffle);

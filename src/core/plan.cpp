@@ -464,38 +464,15 @@ SpmmPlanHandle build_spmm_plan(const SparseOperand& a, std::size_t n_cols,
 
 SpmmPlanHandle build_spmm_plan(const sparse::BlockPattern& pattern,
                                std::size_t n_cols, const SpmmConfig& cfg) {
-  pattern.validate();
   // Encode the SR-BCRS *structure* only (pointers + padded column indices,
   // shuffled when the datapath requires it): the plan never reads values,
-  // so this matches build_sr_bcrs slot for slot at O(slots) with no value
-  // buffer in sight.
+  // so this matches prepare_spmm_lhs slot for slot at O(slots) with no
+  // value buffer in sight.
   SparseOperand meta;
-  sparse::SrBcrs& sr = meta.structure;
-  sr.rows = pattern.rows;
-  sr.cols = pattern.cols;
-  sr.vector_length = pattern.vector_length;
-  sr.stride = stride_for(cfg.precision);
-  const std::size_t st = static_cast<std::size_t>(sr.stride);
-  const std::size_t vr = pattern.vector_rows();
-  sr.first_ptr.resize(vr);
-  sr.end_ptr.resize(vr);
-  std::size_t slots = 0;
-  for (std::size_t r = 0; r < vr; ++r) {
-    sr.first_ptr[r] = static_cast<std::uint32_t>(slots);
-    slots += (pattern.vectors_in_row(r) + st - 1) / st * st;
-    sr.end_ptr[r] = static_cast<std::uint32_t>(slots);
-  }
-  sr.col_idx.assign(slots, sparse::kInvalidCol);
-  for (std::size_t r = 0; r < vr; ++r) {
-    const std::size_t n = pattern.vectors_in_row(r);
-    for (std::size_t j = 0; j < n; ++j) {
-      sr.col_idx[sr.first_ptr[r] + j] = pattern.col_idx[pattern.row_ptr[r] + j];
-    }
-  }
+  meta.structure =
+      sparse::build_sr_bcrs_structure(pattern, stride_for(cfg.precision));
   if (needs_shuffle(cfg)) {
-    // Permutes only the column indices; the empty value buffer is carried
-    // through untouched.
-    sr = sparse::shuffle_columns(sr);
+    meta.structure = sparse::shuffle_columns(meta.structure);
   }
   meta.logical_type = cfg.precision.lhs;
   meta.planes.resize(static_cast<std::size_t>(

@@ -369,9 +369,13 @@ SddmmResult run_simulate(const DenseOperand& a, const DenseOperand& b,
   return result;
 }
 
-SddmmResult run_fast(const DenseOperand& a, const DenseOperand& b,
-                     const sparse::BlockPattern& pattern,
-                     const SddmmConfig& cfg, const SddmmPlan& plan) {
+/// Rejects a plan that does not schedule this pattern and operand pair:
+/// every index the replay takes from the plan is checked here, once per
+/// call and in O(schedule size). The plan-taking sddmm() runs it in both
+/// exec modes.
+void check_plan(const DenseOperand& a, const DenseOperand& b,
+                const sparse::BlockPattern& pattern, const SddmmConfig& cfg,
+                const SddmmPlan& plan) {
   const Geom& g = plan.geom;
   MAGICUBE_CHECK_MSG(g.k == a.cols && g.v == pattern.vector_length,
                      "execution plan built for a different problem shape");
@@ -393,6 +397,11 @@ SddmmResult run_fast(const DenseOperand& a, const DenseOperand& b,
             static_cast<std::size_t>(pattern.col_idx[i]) * col_bytes,
         "execution plan built for a different sparsity pattern — plans "
         "are per pattern fingerprint");
+  }
+  for (int row = 0; row < g.v; ++row) {
+    MAGICUBE_CHECK_MSG(plan.a_panel_row_base[static_cast<std::size_t>(row)] ==
+                           static_cast<std::size_t>(row) * col_bytes,
+                       "execution plan misplaces an LHS tile row");
   }
   {
     MAGICUBE_CHECK_MSG(plan.map.slot_base.size() == plan.map.row.size() &&
@@ -428,7 +437,13 @@ SddmmResult run_fast(const DenseOperand& a, const DenseOperand& b,
                        "execution plan names unknown SDDMM replay kernel "
                            << static_cast<int>(id));
   }
+}
 
+/// Replays a plan check_plan accepted (or one built from the pattern).
+SddmmResult run_fast(const DenseOperand& a, const DenseOperand& b,
+                     const sparse::BlockPattern& pattern,
+                     const SddmmPlan& plan) {
+  const Geom& g = plan.geom;
   SddmmResult result = make_result_shell(pattern, g.v);
   simt::run_grid_values(plan.map.row.size(), [&](std::size_t blk) {
     panel_block(blk, a, b, plan, result.c.values);
@@ -446,7 +461,7 @@ SddmmResult sddmm(const DenseOperand& a, const DenseOperand& b,
   validate_sddmm_inputs(a, b, pattern, cfg);
   if (cfg.mode.value_or(default_exec_mode()) == ExecMode::fast) {
     const SddmmPlanHandle plan = build_sddmm_plan(pattern, a.cols, cfg);
-    return run_fast(a, b, pattern, cfg, *plan);
+    return run_fast(a, b, pattern, *plan);
   }
   return run_simulate(a, b, pattern, cfg);
 }
@@ -455,10 +470,11 @@ SddmmResult sddmm(const DenseOperand& a, const DenseOperand& b,
                   const sparse::BlockPattern& pattern, const SddmmConfig& cfg,
                   const SddmmPlan& plan) {
   validate_sddmm_inputs(a, b, pattern, cfg);
+  check_plan(a, b, pattern, cfg, plan);
   if (cfg.mode.value_or(default_exec_mode()) == ExecMode::simulate) {
     return run_simulate(a, b, pattern, cfg);
   }
-  return run_fast(a, b, pattern, cfg, plan);
+  return run_fast(a, b, pattern, plan);
 }
 
 simt::KernelRun sddmm_estimate(const sparse::BlockPattern& pattern,

@@ -650,8 +650,13 @@ SpmmResult run_simulate(const SparseOperand& a, const DenseOperand& b,
   return result;
 }
 
-SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
-                    const SpmmPlan& plan) {
+/// Rejects a plan that does not schedule this operand pair: every index the
+/// replay takes from the plan is range-checked here, once per call and in
+/// O(schedule size), so a malformed or foreign plan raises Error instead of
+/// replaying out of bounds. The plan-taking spmm() runs it in both exec
+/// modes.
+void check_plan(const SparseOperand& a, const DenseOperand& b,
+                const SpmmPlan& plan) {
   const Geom& g = plan.geom;
   MAGICUBE_CHECK_MSG(g.n == b.cols && g.k == b.rows,
                      "execution plan built for a different problem shape");
@@ -683,10 +688,25 @@ SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
                        "structure — plans are per pattern fingerprint");
   }
   // Replay dispatches on the plan's schedules and per-row bucket ids, so a
-  // plan that lacks them (or names a bucket past the last kernel) is
-  // rejected here rather than indexed out of range.
+  // plan that lacks them, names a bucket past the last kernel, or points a
+  // panel row or k slot outside the operand is rejected here rather than
+  // indexed out of range.
   MAGICUBE_CHECK_MSG(plan.a_panel_src.size() == static_cast<std::size_t>(g.g),
                      "execution plan carries no panel schedule");
+  for (const auto& rows : plan.a_panel_src) {
+    for (const SpmmPlan::PanelRow& src : rows) {
+      MAGICUBE_CHECK_MSG(
+          src.row < 0 || (src.plane >= 0 && src.plane < g.p && src.row < g.v),
+          "execution plan panel row names a plane or tile row the operand "
+          "does not have");
+    }
+  }
+  for (int k = 0; k < g.stride; ++k) {
+    MAGICUBE_CHECK_MSG(plan.panel_k_slot[static_cast<std::size_t>(k)] <
+                           g.stride,
+                       "execution plan gathers a reduction row from outside "
+                       "its stride tile");
+  }
   MAGICUBE_CHECK_MSG(plan.row_kernel.size() == a.structure.vector_rows(),
                      "execution plan has " << plan.row_kernel.size()
                          << " row kernel ids for "
@@ -696,7 +716,11 @@ SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
                        "execution plan names unknown SpMM replay kernel "
                            << static_cast<int>(id));
   }
+}
 
+/// Replays a plan check_plan accepted (or one built from `a` itself).
+SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
+                    const SpmmPlan& plan) {
   SpmmResult result;
   result.c = Matrix<std::int32_t>(a.structure.rows, b.cols, 0);
   // One job per block row (load-once A arena shared by the row's column
@@ -723,6 +747,7 @@ SpmmResult spmm(const SparseOperand& a, const DenseOperand& b,
 SpmmResult spmm(const SparseOperand& a, const DenseOperand& b,
                 const SpmmConfig& cfg, const SpmmPlan& plan) {
   validate_spmm_inputs(a, b, cfg);
+  check_plan(a, b, plan);
   if (cfg.mode.value_or(default_exec_mode()) == ExecMode::simulate) {
     return run_simulate(a, b, cfg);
   }

@@ -54,6 +54,20 @@ void decompose_value(std::int32_t v, Scalar source, int chunk_bits,
 /// Decomposes a packed operand into planes of width `chunk_bits` (4 or 8).
 PlaneSet decompose(const PackedBuffer& src, int chunk_bits);
 
+/// Zeroed planes for `count` elements of `source`: decompose()'s planes
+/// when the source is wider than `chunk_bits`, else one full-width plane
+/// of the source type (weight 1) — the operand planes a kernel reads.
+std::vector<Plane> make_planes(Scalar source, int chunk_bits,
+                               std::size_t count);
+
+/// Writes src[0, n) as elements [first, first + n) of planes made by
+/// make_planes(source, chunk_bits, ...): a wide source splits into its
+/// chunks in one pass (plane i receives chunk i of decompose_value), with
+/// no intermediate packed buffer and no per-element access.
+void encode_planes(std::vector<Plane>& planes, int chunk_bits,
+                   std::size_t first, const std::int32_t* src,
+                   std::size_t n);
+
 /// Convenience: the chunk width Magicube picks when the *RHS* operand is
 /// `rhs` — emulation planes must match the native mma precision of the pair,
 /// i.e. 4-bit chunks when the RHS is 4-bit, else 8-bit chunks.

@@ -1,6 +1,7 @@
 #include "quant/quantizer.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace magicube::quant {
 
@@ -49,8 +50,13 @@ std::int32_t quantize_value(float x, const QuantParams& p) {
 
 PackedBuffer quantize(const Matrix<float>& m, const QuantParams& p) {
   PackedBuffer out(m.size(), p.type);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    out.set(i, quantize_value(m.data()[i], p));
+  std::array<std::int32_t, 256> block{};
+  for (std::size_t b = 0; b < m.size(); b += block.size()) {
+    const std::size_t n = std::min(block.size(), m.size() - b);
+    for (std::size_t i = 0; i < n; ++i) {
+      block[i] = quantize_value(m.data()[b + i], p);
+    }
+    out.encode(b, block.data(), n);
   }
   return out;
 }
@@ -59,8 +65,13 @@ Matrix<float> dequantize(const PackedBuffer& q, std::size_t rows,
                          std::size_t cols, const QuantParams& p) {
   MAGICUBE_CHECK(q.size() == rows * cols);
   Matrix<float> out(rows, cols);
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    out.data()[i] = dequantize_value(q.get(i), p);
+  std::array<std::int32_t, 256> block{};
+  for (std::size_t b = 0; b < q.size(); b += block.size()) {
+    const std::size_t n = std::min(block.size(), q.size() - b);
+    q.decode(b, n, block.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      out.data()[b + i] = dequantize_value(block[i], p);
+    }
   }
   return out;
 }

@@ -156,12 +156,17 @@ Response serve_graph_request(const GraphRequest& g, OperandCache& operands,
   arena.scheme = g.scheme;
   arena.mask = g.mask;
 
+  // A session step quantizes its whole grown prefix with a fresh scale, so
+  // it never presents the same operand twice: its activations skip the
+  // operand cache. Plans stay cached — a layer's mask is shared across
+  // sessions.
+  OperandCache* activations = g.session_id != 0 ? nullptr : &operands;
   transformer::AttentionStageFlags f1, f3;
-  attention_stage_sddmm(arena, *g.q, *g.k, *g.v, &operands, &plans, &f1);
+  attention_stage_sddmm(arena, *g.q, *g.k, *g.v, activations, &plans, &f1);
   attention_stage_softmax_quantize(arena);
   // cache_lhs=false: the quantized attention weights are the DAG's
   // intermediate — prepared straight into the arena, never cached.
-  attention_stage_spmm(arena, &operands, &plans, /*cache_lhs=*/false, &f3);
+  attention_stage_spmm(arena, activations, &plans, /*cache_lhs=*/false, &f3);
 
   auto result = std::make_shared<GraphResult>();
   result->out = attention_stage_output(arena);

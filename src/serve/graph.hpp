@@ -11,10 +11,15 @@
 // stage's own max), place it whole (stages share one arena, so the DAG is
 // never row-sharded), and execute it against an engine-owned
 // transformer::AttentionArena: stage intermediates — the quantized score
-// matrix, the attention-weight image — live in the arena, are never
+// matrix, the quantized attention weights — live in the arena, are never
 // inserted into the OperandCache and never copied out between stages. Only
 // the stable operands (quantized Q, K^T, V) and the two execution plans
-// route through the caches, probe-keyed (serve/operand_cache.hpp).
+// route through the caches, probe-keyed (serve/operand_cache.hpp). A
+// session step (session_id != 0) is never admitted to the operand cache:
+// each step quantizes its whole grown prefix with a fresh scale, so it
+// never presents the same operand twice and every insertion would be dead
+// weight in the budget. Its plans are cached like any other graph's — a
+// layer's mask is shared across sessions.
 //
 // GraphRequests ride the existing Request currency via make_graph_request:
 // the wrapper carries the mask as `pattern` so placement identity (plan
@@ -49,7 +54,8 @@ struct GraphRequest {
       transformer::AttentionScheme::magicube_8b_8b;
   /// Token-stream identity (serve/session.hpp); 0 = one-shot graph. Folded
   /// into the wrapper's lhs_id so placement affinity keeps a stream's
-  /// steps near its cached operands.
+  /// steps together. Nonzero keeps the step's activations out of the
+  /// operand cache (plans are still cached).
   std::uint64_t session_id = 0;
   std::uint64_t step = 0;
 };
@@ -112,7 +118,8 @@ double price_session_step_seconds(const sparse::BlockPattern& mask,
                                   transformer::AttentionScheme scheme,
                                   const simt::DeviceSpec& device);
 
-/// Executes the DAG synchronously against `operands`/`plans` on `device`.
+/// Executes the DAG synchronously against `operands`/`plans` on `device`
+/// (`operands` is left untouched for a session step).
 /// The response's hit flags summarize the stable operands (lhs = quantized
 /// Q, rhs = V, plan = both stage plans); the full per-stage breakdown is
 /// in Response::graph->stages. The pool calls this from its workers —

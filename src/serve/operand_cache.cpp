@@ -287,32 +287,6 @@ core::DenseOperandHandle OperandCache::get_or_prepare_probed(
   return insert(key, std::move(entry)).dense;
 }
 
-core::SparseOperandHandle OperandCache::get_or_prepare_spmm_lhs_probed(
-    const std::shared_ptr<const sparse::BlockPattern>& pattern,
-    const Matrix<std::int32_t>& values, PrecisionPair precision, bool shuffle,
-    bool* was_hit) {
-  MAGICUBE_CHECK(pattern != nullptr);
-  const std::uint64_t probe = content_probe(values);
-  const OperandKey key =
-      spmm_lhs_key(probe_identity(probe), precision, shuffle);
-
-  if (was_hit) *was_hit = false;
-  if (CachedOperand hit = find(key)) {
-    MAGICUBE_CHECK_MSG(hit.content_probe == probe,
-                       "operand cache probe-identity collision for probe "
-                           << probe << " — distinct contents aliased one key");
-    if (was_hit) *was_hit = true;
-    return hit.sparse;
-  }
-
-  CachedOperand entry;
-  entry.sparse =
-      core::prepare_spmm_lhs_shared(*pattern, values, precision, shuffle);
-  entry.bytes = entry.sparse->footprint_bytes();
-  entry.content_probe = probe;
-  return insert(key, std::move(entry)).sparse;
-}
-
 OperandKey spmm_lhs_key(std::uint64_t content, PrecisionPair precision,
                         bool shuffled) {
   OperandKey key;

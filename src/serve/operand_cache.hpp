@@ -227,14 +227,6 @@ class OperandCache {
       OperandKind kind, const Matrix<std::int32_t>& values,
       PrecisionPair precision, std::uint64_t probe, bool* was_hit);
 
-  /// Probe-keyed SpMM LHS prepare: same identity rule over the sparse
-  /// weight slot (pattern fixed, values sampled). Used by the fused
-  /// attention graph for the per-call attention-weight operand.
-  core::SparseOperandHandle get_or_prepare_spmm_lhs_probed(
-      const std::shared_ptr<const sparse::BlockPattern>& pattern,
-      const Matrix<std::int32_t>& values, PrecisionPair precision,
-      bool shuffle, bool* was_hit = nullptr);
-
   /// Memoized execution-plan build for core::spmm. Plans depend only on the
   /// *structure*, so identity is the pattern (never a weight-version id):
   /// `pattern_content` = 0 uses pattern.fingerprint() via the same per-live-

@@ -17,6 +17,12 @@
 // DevicePoolConfig::session_budget_seconds. Closing (or dropping) the
 // session releases its share.
 //
+// Caching: a step prepares its activations without the operand cache —
+// each step quantizes its whole grown prefix with a fresh scale, so no
+// prepared operand is ever presented twice — while its two stage plans are
+// served from the shared plan cache, where a second session over the same
+// mask finds them (serve/graph.hpp).
+//
 // Replay invariance: a step's GraphRequest is a pure function of the
 // appended rows — placement, coalescing and retries never change values —
 // so replaying the same token feed across pools of any size is bit-exact

@@ -37,27 +37,32 @@ void SrBcrs::validate() const {
   MAGICUBE_CHECK(prev_end == slot_count());
   // Padded slots carry zero values; valid slots carry in-range columns.
   // When shuffled, the index at stored position p pairs with the value slot
-  // kShuffleOrder[p % 8] of its aligned group of 8.
+  // kShuffleOrder[p % 8] of its aligned group of 8, in the same stride
+  // tile. A tile holding padding is decoded once, at its first padded slot.
+  const std::size_t v = static_cast<std::size_t>(vector_length);
+  const std::size_t st = static_cast<std::size_t>(stride);
+  std::vector<std::int32_t> tile(v * st);
   for (std::size_t r = 0; r < vr; ++r) {
-    for (std::uint32_t s = first_ptr[r]; s < end_ptr[r]; ++s) {
-      if (col_idx[s] != kInvalidCol) {
-        MAGICUBE_CHECK(col_idx[s] < cols);
-        continue;
-      }
-      const std::size_t vslot =
-          shuffled ? (s / 8 * 8 + static_cast<std::size_t>(
-                                      kShuffleOrder[s % 8]))
-                   : s;
-      const std::size_t group =
-          (vslot - first_ptr[r]) / static_cast<std::size_t>(stride);
-      const std::size_t base =
-          first_ptr[r] + group * static_cast<std::size_t>(stride);
-      const std::size_t off = vslot - base;
-      for (int rb = 0; rb < vector_length; ++rb) {
-        MAGICUBE_CHECK_MSG(
-            values.get(value_index(base, off, static_cast<std::size_t>(rb))) ==
-                0,
-            "padding slots must hold zero values");
+    for (std::size_t base = first_ptr[r]; base < end_ptr[r]; base += st) {
+      bool decoded = false;
+      for (std::size_t s = base; s < base + st; ++s) {
+        if (col_idx[s] != kInvalidCol) {
+          MAGICUBE_CHECK(col_idx[s] < cols);
+          continue;
+        }
+        const std::size_t vslot =
+            shuffled ? s / 8 * 8 + static_cast<std::size_t>(
+                                       kShuffleOrder[s % 8])
+                     : s;
+        MAGICUBE_CHECK(vslot >= base && vslot < base + st);
+        if (!decoded) {
+          values.decode(value_index(base, 0, 0), tile.size(), tile.data());
+          decoded = true;
+        }
+        for (std::size_t rb = 0; rb < v; ++rb) {
+          MAGICUBE_CHECK_MSG(tile[rb * st + vslot - base] == 0,
+                             "padding slots must hold zero values");
+        }
       }
     }
   }
@@ -89,48 +94,48 @@ Matrix<std::int32_t> SrBcrs::to_dense() const {
   return out;
 }
 
-SrBcrs build_sr_bcrs(const BlockPattern& pattern,
-                     const Matrix<std::int32_t>& dense, Scalar type,
-                     int stride) {
+SrBcrs build_sr_bcrs_structure(const BlockPattern& pattern, int stride) {
   pattern.validate();
-  MAGICUBE_CHECK(dense.rows() == pattern.rows && dense.cols() == pattern.cols);
   MAGICUBE_CHECK(stride > 0);
-
   SrBcrs out;
   out.rows = pattern.rows;
   out.cols = pattern.cols;
   out.vector_length = pattern.vector_length;
   out.stride = stride;
   const std::size_t vr = pattern.vector_rows();
-  const std::size_t v = static_cast<std::size_t>(pattern.vector_length);
   const std::size_t st = static_cast<std::size_t>(stride);
-
   out.first_ptr.resize(vr);
   out.end_ptr.resize(vr);
   std::size_t slots = 0;
   for (std::size_t r = 0; r < vr; ++r) {
     out.first_ptr[r] = static_cast<std::uint32_t>(slots);
-    const std::size_t n = pattern.vectors_in_row(r);
-    slots += (n + st - 1) / st * st;
+    slots += (pattern.vectors_in_row(r) + st - 1) / st * st;
     out.end_ptr[r] = static_cast<std::uint32_t>(slots);
   }
   out.col_idx.assign(slots, kInvalidCol);
-  out.values = PackedBuffer(slots * v, type);  // zero-initialized
-
   for (std::size_t r = 0; r < vr; ++r) {
-    const std::size_t n = pattern.vectors_in_row(r);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t col = pattern.col_idx[pattern.row_ptr[r] + j];
-      const std::size_t slot = out.first_ptr[r] + j;
-      out.col_idx[slot] = col;
-      const std::size_t base = out.first_ptr[r] + (j / st) * st;
-      const std::size_t off = j % st;
-      for (std::size_t rb = 0; rb < v; ++rb) {
-        out.values.set(out.value_index(base, off, rb),
-                       dense(r * v + rb, col));
-      }
-    }
+    std::copy(pattern.col_idx.begin() + pattern.row_ptr[r],
+              pattern.col_idx.begin() + pattern.row_ptr[r + 1],
+              out.col_idx.begin() + out.first_ptr[r]);
   }
+  return out;
+}
+
+SrBcrs build_sr_bcrs(const BlockPattern& pattern,
+                     const Matrix<std::int32_t>& dense, Scalar type,
+                     int stride) {
+  SrBcrs out = build_sr_bcrs_structure(pattern, stride);
+  MAGICUBE_CHECK(dense.rows() == pattern.rows && dense.cols() == pattern.cols);
+  const std::size_t v = static_cast<std::size_t>(pattern.vector_length);
+  out.values = PackedBuffer(out.slot_count() * v, type);  // zero-initialized
+  write_sr_bcrs_values(
+      out, pattern,
+      [&](std::size_t r, std::size_t i, std::size_t rb) {
+        return dense(r * v + rb, pattern.col_idx[i]);
+      },
+      [&](std::size_t first, const std::int32_t* values, std::size_t n) {
+        out.values.encode(first, values, n);
+      });
   out.validate();
   return out;
 }

@@ -19,6 +19,8 @@
 // by {0,2,4,6,1,3,5,7} so that the nibble-level register transpose of Fig. 7
 // lands results in natural order using only int32-granularity bit ops.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -78,8 +80,50 @@ struct SrBcrs {
   Matrix<std::int32_t> to_dense() const;
 };
 
+/// The SR-BCRS structure of `pattern` at `stride`: row pointers and padded
+/// column indices, unshuffled. `values` is left empty for the caller to
+/// size and fill through write_sr_bcrs_values.
+SrBcrs build_sr_bcrs_structure(const BlockPattern& pattern, int stride);
+
+/// The SR-BCRS value layout, written in one place. Values arrive per
+/// vector in pattern order — `value(r, i, rb)` is row rb of the pattern's
+/// i-th vector, which lies in vector row r — which is the layout the SDDMM
+/// writes its output in, so the §IV-C hand-off indexes it directly and a
+/// dense matrix is a gather (`dense(r * V + rb, pattern.col_idx[i])`).
+/// Each stride tile row goes to `sink(first, values, n)` as one contiguous
+/// span of flat value indices [first, first + n); padding is never written
+/// (value buffers start zeroed). `sr` must be `pattern`'s structure.
+template <class Value, class Sink>
+void write_sr_bcrs_values(const SrBcrs& sr, const BlockPattern& pattern,
+                          Value&& value, Sink&& sink) {
+  MAGICUBE_CHECK(sr.vector_length == pattern.vector_length &&
+                 sr.first_ptr.size() == pattern.vector_rows());
+  const std::size_t v = static_cast<std::size_t>(sr.vector_length);
+  const std::size_t st = static_cast<std::size_t>(sr.stride);
+  std::array<std::int32_t, 32> span{};
+  for (std::size_t r = 0; r < pattern.vector_rows(); ++r) {
+    const std::size_t row_first = pattern.row_ptr[r];
+    const std::size_t n = pattern.vectors_in_row(r);
+    MAGICUBE_CHECK(sr.end_ptr[r] - sr.first_ptr[r] >= n);
+    for (std::size_t j0 = 0; j0 < n; j0 += st) {
+      const std::size_t base = sr.first_ptr[r] + j0;
+      const std::size_t count = std::min(st, n - j0);
+      for (std::size_t rb = 0; rb < v; ++rb) {
+        for (std::size_t o0 = 0; o0 < count; o0 += span.size()) {
+          const std::size_t m = std::min(span.size(), count - o0);
+          for (std::size_t o = 0; o < m; ++o) {
+            span[o] = value(r, row_first + j0 + o0 + o, rb);
+          }
+          sink(sr.value_index(base, o0, rb), span.data(), m);
+        }
+      }
+    }
+  }
+}
+
 /// Builds SR-BCRS from a pattern and a dense value matrix (values outside
-/// the pattern are ignored; values inside must fit `type`).
+/// the pattern are ignored; values inside must fit `type`): a gather into
+/// write_sr_bcrs_values.
 SrBcrs build_sr_bcrs(const BlockPattern& pattern,
                      const Matrix<std::int32_t>& dense, Scalar type,
                      int stride);

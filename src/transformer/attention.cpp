@@ -73,6 +73,14 @@ Matrix<half> to_half(const Matrix<float>& m) {
   return out;
 }
 
+/// The attention-weights x V SpMM of a Magicube scheme (Lx-Ry).
+core::SpmmConfig spmm_config(AttentionScheme scheme) {
+  core::SpmmConfig cfg;
+  cfg.precision = PrecisionPair{scalar_for_bits(softmax_bits(scheme)),
+                                scalar_for_bits(qkv_bits(scheme))};
+  return cfg;
+}
+
 Matrix<std::int32_t> quantize_to_int(const Matrix<float>& m,
                                      const quant::QuantParams& p) {
   Matrix<std::int32_t> out(m.rows(), m.cols());
@@ -188,10 +196,8 @@ Matrix<float> magicube_attention(const Matrix<float>& q,
     (f1.plan_cache_hit ? plans->plan_replays : plans->plan_builds) += 1;
   }
   attention_stage_softmax_quantize(arena);
-  attention_stage_spmm(arena, cache, cache, /*cache_lhs=*/plans != nullptr,
-                       &f3);
+  attention_stage_spmm(arena, cache, cache, /*cache_lhs=*/false, &f3);
   if (plans) {
-    (f3.lhs_cache_hit ? plans->operand_hits : plans->operand_preps) += 1;
     (f3.rhs_cache_hit ? plans->operand_hits : plans->operand_preps) += 1;
     (f3.plan_cache_hit ? plans->plan_replays : plans->plan_builds) += 1;
   }
@@ -301,69 +307,43 @@ void attention_stage_softmax_quantize(AttentionArena& arena) {
   arena.pa = quant::choose_symmetric(scores.values.data(),
                                      scores.values.size(), sm_type);
 
-  // Scatter the quantized attention weights back to a dense image of the
-  // mask to build the SpMM LHS (host-side prep; on device the SDDMM writes
-  // SR-BCRS directly, §IV-C).
-  arena.attn_dense = Matrix<std::int32_t>(arena.l, arena.l, 0);
+  // §IV-C hand-off: the SDDMM output is vector-major in the mask's pattern
+  // order, so each quantized weight goes straight to its SR-BCRS slot.
   const std::size_t vl = static_cast<std::size_t>(scores.vector_length);
-  for (std::size_t r = 0; r < scores.vector_rows(); ++r) {
-    for (std::uint32_t i = scores.row_ptr[r]; i < scores.row_ptr[r + 1];
-         ++i) {
-      for (std::size_t rb = 0; rb < vl; ++rb) {
-        arena.attn_dense(r * vl + rb, scores.col_idx[i]) =
-            quant::quantize_value(scores.values[i * vl + rb], arena.pa);
-      }
-    }
-  }
+  const core::SpmmConfig cfg = spmm_config(arena.scheme);
+  arena.attn = std::make_shared<const core::SparseOperand>(
+      core::prepare_spmm_lhs_from(
+          *arena.mask, cfg.precision, core::needs_shuffle(cfg),
+          [&](std::size_t, std::size_t i, std::size_t rb) {
+            return quant::quantize_value(scores.values[i * vl + rb],
+                                         arena.pa);
+          }));
 }
 
 void attention_stage_spmm(AttentionArena& arena,
                           serve::OperandCache* operands,
                           serve::OperandCache* plans, bool cache_lhs,
                           AttentionStageFlags* flags) {
-  const Scalar qkv_type = scalar_for_bits(qkv_bits(arena.scheme));
-  const Scalar sm_type = scalar_for_bits(softmax_bits(arena.scheme));
-  const PrecisionPair spmm_prec{sm_type, qkv_type};
-  core::SpmmConfig spmm_cfg;
-  spmm_cfg.precision = spmm_prec;
+  MAGICUBE_CHECK_MSG(arena.attn != nullptr,
+                     "attention arena needs stage 2 before stage 3");
+  MAGICUBE_CHECK_MSG(!cache_lhs,
+                     "the attention weights are an arena intermediate and "
+                     "never enter the operand cache");
+  const core::SpmmConfig cfg = spmm_config(arena.scheme);
   AttentionStageFlags local;
-  if (operands || plans) {
-    // Attention weights change per call (new probe each time, softmax
-    // output), but V is stable across decode steps over a fixed context —
-    // the cache turns its re-prepare into a lookup. The fused graph path
-    // sets cache_lhs=false: the per-call intermediate is prepared straight
-    // into the arena and never enters the cache.
-    core::SparseOperandHandle lhs;
-    if (operands && cache_lhs) {
-      lhs = operands->get_or_prepare_spmm_lhs_probed(
-          arena.mask, arena.attn_dense, spmm_prec,
-          core::needs_shuffle(spmm_cfg), &local.lhs_cache_hit);
-    } else {
-      lhs = core::prepare_spmm_lhs_shared(*arena.mask, arena.attn_dense,
-                                          spmm_prec,
-                                          core::needs_shuffle(spmm_cfg));
-    }
-    core::DenseOperandHandle rhs;
-    if (operands) {
-      rhs = operands->get_or_prepare_probed(serve::OperandKind::spmm_rhs,
-                                            arena.vi, spmm_prec,
-                                            &local.rhs_cache_hit);
-    } else {
-      rhs = core::prepare_spmm_rhs_shared(arena.vi, spmm_prec);
-    }
-    if (plans) {
-      arena.stage_plans.spmm = plans->get_or_build_spmm_plan(
-          arena.mask, arena.dk, spmm_cfg, 0, &local.plan_cache_hit);
-      arena.spmm = core::spmm(lhs, rhs, spmm_cfg, arena.stage_plans.spmm);
-    } else {
-      arena.spmm = core::spmm(lhs, rhs, spmm_cfg);
-    }
+  // V is stable across decode steps over a fixed context: the cache turns
+  // its re-prepare into a lookup.
+  const core::DenseOperandHandle rhs =
+      operands ? operands->get_or_prepare_probed(serve::OperandKind::spmm_rhs,
+                                                 arena.vi, cfg.precision,
+                                                 &local.rhs_cache_hit)
+               : core::prepare_spmm_rhs_shared(arena.vi, cfg.precision);
+  if (plans) {
+    arena.stage_plans.spmm = plans->get_or_build_spmm_plan(
+        arena.mask, arena.dk, cfg, 0, &local.plan_cache_hit);
+    arena.spmm = core::spmm(arena.attn, rhs, cfg, arena.stage_plans.spmm);
   } else {
-    const auto lhs =
-        core::prepare_spmm_lhs(*arena.mask, arena.attn_dense, spmm_prec,
-                               core::needs_shuffle(spmm_cfg));
-    const auto rhs = core::prepare_spmm_rhs(arena.vi, spmm_prec);
-    arena.spmm = core::spmm(lhs, rhs, spmm_cfg);
+    arena.spmm = core::spmm(arena.attn, rhs, cfg);
   }
   if (flags) *flags = local;
 }

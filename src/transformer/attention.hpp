@@ -62,13 +62,14 @@ int qkv_bits(AttentionScheme s);
 /// distinct (op, precision, shape) plans the traffic touches while
 /// plan_replays grows with every further call.
 ///
-/// Operand preparations route through the same cache: the four prepared
-/// operands of the schedule (SDDMM Q/K^T, SpMM attention-weights/V) are
-/// keyed by a content probe of their integer values, so repeated calls
-/// over unchanged activations (evaluation sweeps re-scoring one sample,
-/// encoder K/V reused across decode steps) skip the O(M·K) re-prepare.
-/// operand_preps counts cache misses (preparations actually run),
-/// operand_hits the calls served from cache.
+/// Operand preparations route through the same cache: the three prepared
+/// activations of the schedule (SDDMM Q/K^T, SpMM V) are keyed by a
+/// content probe of their integer values, so repeated calls over unchanged
+/// activations (evaluation sweeps re-scoring one sample, encoder K/V
+/// reused across decode steps) skip the O(M·K) re-prepare. The attention
+/// weights are stage 2's output, written straight into the SpMM LHS, and
+/// never enter the cache. operand_preps counts cache misses (preparations
+/// actually run), operand_hits the calls served from cache.
 ///
 /// The cache may be shared across layers/contexts (plans are keyed by
 /// pattern fingerprint x config); the context itself is not thread-safe.
@@ -88,8 +89,8 @@ struct AttentionPlanContext {
 ///
 /// Every intermediate of the SDDMM -> softmax+quantize -> SpMM schedule
 /// lives here: the quantized Q/K/V images, the sampled score matrix, the
-/// quantized attention weights, and the per-stage execution plans on one
-/// context. Nothing in the arena is ever inserted into an OperandCache and
+/// quantized attention weights (already the SpMM LHS), and the per-stage
+/// execution plans on one context. Nothing in the arena is ever inserted into an OperandCache and
 /// nothing is copied out between stages — the serving engine's fused
 /// GraphRequest executes the three stages against one arena and drops it
 /// with the response, while attention_forward drives the same stage bodies
@@ -107,7 +108,7 @@ struct AttentionArena {
   Matrix<std::int32_t> qi, ki, vi;  // quantized activations
   Matrix<std::int32_t> kt;          // K^T image (dk x L)
   sparse::Bcrs<float> scores;       // SDDMM output; softmaxed in place
-  Matrix<std::int32_t> attn_dense;  // quantized attention weights (SpMM LHS)
+  core::SparseOperandHandle attn;   // quantized attention weights (SpMM LHS)
   core::SddmmResult sddmm;
   core::SpmmResult spmm;
   core::StagePlanHandles stage_plans;  // per-stage plans on one context
@@ -134,15 +135,18 @@ void attention_stage_sddmm(AttentionArena& arena, const Matrix<float>& q,
                            AttentionStageFlags* flags = nullptr);
 
 /// Stage 2 — dequantize the sampled scores, fp16 sparse softmax with fused
-/// x-bit quantization, and scatter the quantized attention weights to the
-/// dense SpMM LHS image. Pure arena-to-arena: no cache interaction.
+/// x-bit quantization written straight into the SpMM LHS (`arena.attn`):
+/// the SDDMM output is vector-major in the mask's pattern order, which is
+/// the SR-BCRS builder's input (§IV-C), so no dense image and no gather
+/// map is needed. Pure arena-to-arena: no cache interaction.
 void attention_stage_softmax_quantize(AttentionArena& arena);
 
-/// Stage 3 — attention-weights x V SpMM. `cache_lhs` controls whether the
-/// per-call attention-weight operand enters the cache: the legacy plan
-/// context does (its hit counters bill the re-prepare), the fused graph
-/// path never does — the intermediate is prepared straight into the arena
-/// and dropped with it.
+/// Stage 3 — attention-weights x V SpMM over the LHS stage 2 wrote.
+/// `operands` non-null routes the quantized V through the cache
+/// (probe-keyed); `plans` non-null serves the SpMM plan from the cache.
+/// The attention weights never enter the cache — they are prepared
+/// straight into the arena and dropped with it — so `cache_lhs` must be
+/// false; the parameter stays for source compatibility.
 void attention_stage_spmm(AttentionArena& arena,
                           serve::OperandCache* operands,
                           serve::OperandCache* plans, bool cache_lhs,

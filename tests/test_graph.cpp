@@ -108,7 +108,7 @@ TEST(GraphRequest, IntermediatesNeverInsertedIntoCaches) {
       serve_graph_request(*g, operands, plans, simt::a100());
   // Exactly the stable operands are cached — quantized Q, K^T, V — and the
   // two stage plans. The stage intermediates (the score matrix, the
-  // attention-weight image) never appear: 3 + 2 insertions, nothing else.
+  // attention weights) never appear: 3 + 2 insertions, nothing else.
   EXPECT_EQ(operands.stats().insertions, 3u);
   EXPECT_EQ(operands.entry_count(), 3u);
   EXPECT_EQ(plans.stats().insertions, 2u);
@@ -297,6 +297,71 @@ TEST(TokenSession, ReplayBitExactAcrossPoolSizes) {
     const Matrix<float> ref = transformer::attention_forward(
         q, k, v, *mask, AttentionScheme::magicube_8b_8b);
     EXPECT_EQ(streams[0][s], ref) << "step " << s;
+  }
+}
+
+// Session steps never present the same operand twice (each quantizes its
+// grown prefix with a fresh scale), so their activations bypass the device
+// operand cache; the stage plans stay cached and a second session over the
+// same mask replays them.
+TEST(TokenSession, StepsSkipTheOperandCacheAndShareCachedPlans) {
+  Rng rng(29);
+  const auto full = std::make_shared<const sparse::BlockPattern>(
+      sparse::make_attention_mask_pattern(32, 8, 0.7, rng));
+  const std::size_t dk = 64, grow = 8, steps = 4;
+  std::vector<Matrix<float>> qs, ks, vs;
+  for (std::size_t s = 0; s < steps; ++s) {
+    Matrix<float> q(grow, dk), k(grow, dk), v(grow, dk);
+    fill_normal(q, rng, 0.4);
+    fill_normal(k, rng, 0.4);
+    fill_normal(v, rng, 0.4);
+    qs.push_back(std::move(q));
+    ks.push_back(std::move(k));
+    vs.push_back(std::move(v));
+  }
+
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
+  DevicePool pool(cfg);
+  SessionConfig sess;
+  sess.mask = full;
+  sess.dk = dk;
+  std::uint64_t plan_insertions = 0;
+  for (int round = 0; round < 2; ++round) {
+    TokenSession session = pool.open_session(sess);
+    for (std::size_t s = 0; s < steps; ++s) {
+      const Response r = session.step(qs[s], ks[s], vs[s]).get();
+      ASSERT_TRUE(r.graph);
+      EXPECT_FALSE(r.lhs_cache_hit);
+      EXPECT_FALSE(r.rhs_cache_hit);
+      // The second session replays the plans the first one built.
+      EXPECT_EQ(r.plan_cache_hit, round == 1) << "step " << s;
+
+      const std::size_t l = (s + 1) * grow;
+      Matrix<float> qp(l, dk), kp(l, dk), vp(l, dk);
+      for (std::size_t i = 0; i < l; ++i) {
+        for (std::size_t c = 0; c < dk; ++c) {
+          qp(i, c) = qs[i / grow](i % grow, c);
+          kp(i, c) = ks[i / grow](i % grow, c);
+          vp(i, c) = vs[i / grow](i % grow, c);
+        }
+      }
+      EXPECT_EQ(r.graph->out,
+                transformer::attention_forward(
+                    qp, kp, vp, *slice_session_mask(*full, l),
+                    AttentionScheme::magicube_8b_8b))
+          << "round " << round << " step " << s;
+    }
+    const CacheStats operands = pool.device_cache(0).stats();
+    EXPECT_EQ(operands.insertions, 0u);
+    EXPECT_EQ(operands.lookups, 0u);
+    const CacheStats plans = pool.plan_cache().stats();
+    if (round == 0) {
+      plan_insertions = plans.insertions;
+      EXPECT_EQ(plan_insertions, 2 * steps);  // SDDMM + SpMM per length
+    } else {
+      EXPECT_EQ(plans.insertions, plan_insertions);
+    }
   }
 }
 

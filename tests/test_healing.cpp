@@ -647,10 +647,13 @@ TEST_P(HedgeDeterminismTest, WinnerSetIdenticalAcrossRuns) {
       }
       // The dispatch round (and any admission hedges) completes while the
       // jam holds every executor: placements are final before any claim.
+      // Placed-minus-hedges counts primaries, so the wait ends when all of
+      // them are placed; EDF places the deadline requests (the only ones
+      // that hedge) first, and the dispatcher decides each hedge before
+      // its next placement, so by then every hedge is placed as well.
       wait_for_stats(pool, [](const DevicePoolStats& st) {
-        return total_placed(st) >= kRequests;
+        return total_placed(st) - st.hedges_placed >= kRequests;
       });
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
       expected_hedges = pool.stats().hedges_placed;
       jam.release();
     }

@@ -1114,5 +1114,110 @@ TEST(PlanValidation, SddmmRejectsMalformedBlockKernels) {
   EXPECT_THROW(sddmm(a, b, pattern, cfg, overstated), Error);
 }
 
+// A plan passed to the plan-taking entry points is checked in both exec
+// modes: simulate ignores the plan's schedule but must still refuse a plan
+// built for another pattern rather than accept it silently.
+TEST(PlanValidation, SimulateModeRejectsForeignPlans) {
+  Rng rng(0xba60);
+  const auto pattern = sparse::make_uniform_pattern(48, 96, 8, 0.6, rng);
+  const auto other = sparse::make_uniform_pattern(48, 96, 8, 0.6, rng);
+  SpmmConfig cfg;
+  cfg.mode = ExecMode::simulate;
+  const auto a = prepare_spmm_lhs(
+      pattern, random_values(48, 96, Scalar::s8, rng), cfg.precision,
+      needs_shuffle(cfg));
+  const auto b = prepare_spmm_rhs(random_values(96, 128, Scalar::s8, rng),
+                                  cfg.precision);
+  EXPECT_NO_THROW(spmm(a, b, cfg, *build_spmm_plan(pattern, 128, cfg)));
+  EXPECT_THROW(spmm(a, b, cfg, *build_spmm_plan(other, 128, cfg)), Error);
+
+  SddmmConfig scfg;
+  scfg.mode = ExecMode::simulate;
+  const auto da = prepare_dense(random_values(48, 64, Scalar::s8, rng),
+                                Scalar::s8, true, 8);
+  const auto db = prepare_dense(random_values(64, 96, Scalar::s8, rng),
+                                Scalar::s8, false, 8);
+  EXPECT_NO_THROW(
+      sddmm(da, db, pattern, scfg, *build_sddmm_plan(pattern, 64, scfg)));
+  EXPECT_THROW(sddmm(da, db, pattern, scfg, *build_sddmm_plan(other, 64, scfg)),
+               Error);
+}
+
+/// An emulated-LHS SpMM (L16-R8: two planes) with its plan, for the
+/// schedule-corruption tests below.
+struct PlannedSpmm {
+  SparseOperand a;
+  DenseOperand b;
+  SpmmPlanHandle plan;
+};
+
+PlannedSpmm planned_l16r8(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto pattern = sparse::make_uniform_pattern(48, 96, 4, 0.6, rng);
+  SpmmConfig cfg;
+  cfg.precision = precision::L16R8;
+  PlannedSpmm p{prepare_spmm_lhs(pattern,
+                                 random_values(48, 96, Scalar::s16, rng),
+                                 cfg.precision, needs_shuffle(cfg)),
+                prepare_spmm_rhs(random_values(96, 128, Scalar::s8, rng),
+                                 cfg.precision),
+                nullptr};
+  p.plan = build_spmm_plan(p.a, 128, cfg);
+  return p;
+}
+
+TEST(PlanValidation, SpmmRejectsOutOfRangePanelRows) {
+  const PlannedSpmm p = planned_l16r8(0xba61);
+  for (const ExecMode mode : {ExecMode::fast, ExecMode::simulate}) {
+    SpmmConfig cfg;
+    cfg.precision = precision::L16R8;
+    cfg.mode = mode;
+    EXPECT_NO_THROW(spmm(p.a, p.b, cfg, *p.plan));
+    const SpmmPlan::PanelRow bad[] = {
+        {2, 0, 0},   // plane past the operand's two planes
+        {-1, 0, 0},  // active row without a plane
+        {0, 4, 0},   // tile row past V = 4
+    };
+    for (const SpmmPlan::PanelRow& row : bad) {
+      SpmmPlan corrupt = *p.plan;
+      corrupt.a_panel_src.front()[0] = row;
+      EXPECT_THROW(spmm(p.a, p.b, cfg, corrupt), Error)
+          << "plane " << int{row.plane} << " row " << int{row.row};
+    }
+  }
+}
+
+TEST(PlanValidation, SpmmRejectsOutOfRangeKSlots) {
+  const PlannedSpmm p = planned_l16r8(0xba62);
+  for (const ExecMode mode : {ExecMode::fast, ExecMode::simulate}) {
+    SpmmConfig cfg;
+    cfg.precision = precision::L16R8;
+    cfg.mode = mode;
+    for (const int slot : {16, 255}) {
+      SpmmPlan corrupt = *p.plan;
+      corrupt.panel_k_slot[15] = static_cast<std::uint8_t>(slot);
+      EXPECT_THROW(spmm(p.a, p.b, cfg, corrupt), Error) << "slot " << slot;
+    }
+  }
+}
+
+TEST(PlanValidation, SddmmRejectsMisplacedPanelRows) {
+  Rng rng(0xba63);
+  const auto pattern = sparse::make_uniform_pattern(48, 96, 8, 0.5, rng);
+  SddmmConfig cfg;
+  const auto a = prepare_dense(random_values(48, 64, Scalar::s8, rng),
+                               Scalar::s8, true, 8);
+  const auto b = prepare_dense(random_values(64, 96, Scalar::s8, rng),
+                               Scalar::s8, false, 8);
+  const SddmmPlanHandle plan = build_sddmm_plan(pattern, 64, cfg);
+  for (const ExecMode mode : {ExecMode::fast, ExecMode::simulate}) {
+    cfg.mode = mode;
+    EXPECT_NO_THROW(sddmm(a, b, pattern, cfg, *plan));
+    SddmmPlan corrupt = *plan;
+    corrupt.a_panel_row_base[7] += 64;  // row 7 read from row 8's bytes
+    EXPECT_THROW(sddmm(a, b, pattern, cfg, corrupt), Error);
+  }
+}
+
 }  // namespace
 }  // namespace magicube::core
